@@ -7,7 +7,7 @@ import tempfile
 from pathlib import Path
 
 
-def atomic_write_bytes(path: str | Path, data: bytes) -> None:
+def atomic_write_bytes(path: str | Path, data: bytes | memoryview) -> None:
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")

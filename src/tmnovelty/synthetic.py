@@ -20,10 +20,18 @@ from .corpus import Label
 
 
 def _word_series(prefix: str, count: int) -> list[str]:
-    # Trailing 'x' keeps the words inert under the suffix stemmer, so the
-    # corpus survives the full ingestion pipeline unchanged.
-    letters = string.ascii_lowercase
-    return [prefix + letters[i // 26] + letters[i % 26] + "x" for i in range(count)]
+    # The index in base 26 with letters for digits, at least two of them
+    # ('aa'..'zz', then 'baa'...).  Trailing 'x' keeps the words inert under
+    # the suffix stemmer, so the corpus survives the full ingestion pipeline
+    # unchanged.
+    words = []
+    for i in range(count):
+        digits = ""
+        while i or len(digits) < 2:
+            i, r = divmod(i, 26)
+            digits = string.ascii_lowercase[r] + digits
+        words.append(prefix + digits + "x")
+    return words
 
 
 @dataclass(frozen=True)

@@ -3,25 +3,29 @@
 Each class owns a pool of conjunctive clauses (half voting for the class,
 half against).  A clause is a team of two-action automata, one per literal
 (every feature and its negation); a literal is part of the conjunction
-whenever its automaton state is on the include side.  Clause evaluation is
-bit-packed: include masks and input literals are stored as 64-bit blocks and
-a clause fires iff ``include & ~literals`` is all zero.
+whenever its automaton state is on the include side.  A clause's output
+depends only on those include actions, so each bank keeps one bit-packed view
+of them, kept in step row by row by the feedback that writes the rows; a
+clause fires iff ``include & ~literals`` is all zero.
 
 Training follows the classic two-feedback scheme.  Type I feedback breeds
 frequent patterns: on a firing clause, true literals are reinforced toward
 include with probability (s-1)/s and false literals pushed toward exclude
 with probability 1/s; on a silent clause every state decays toward exclude
-with probability 1/s.  Type II feedback sharpens discrimination: a firing
-clause deterministically nudges every excluded false literal one step toward
-include, planting a blocker.  Per document, the labeled class receives
-Type I on its for-votes and Type II on its firing against-votes, each clause
-independently with probability (T - clamp(sum))/(2T); the opposite class
-receives the mirrored treatment with probability (T + clamp(sum))/(2T).
+with probability 1/s (the 1/s moves are drawn sparsely).  Type II feedback
+sharpens discrimination: a firing clause deterministically nudges every
+excluded false literal one step toward include, planting a blocker.  Per
+document, the labeled class receives Type I on its for-votes and Type II on
+its firing against-votes, each clause independently with probability
+(T - clamp(sum))/(2T); the opposite class receives the mirrored treatment
+with probability (T + clamp(sum))/(2T).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -34,6 +38,11 @@ from .corpus import BoolDoc, Label, Vocabulary
 
 _MODEL_FORMAT = "tmnovelty-model"
 _MODEL_VERSION = 1
+_CLASS_ORDER = (Label.KNOWN, Label.NOVEL)  # bank order in the model file
+_PARAM_TYPES = {"clause_count": int, "vote_margin": int, "sensitivity": (int, float), "state_count": int, "seed": int}
+
+# Upper bound on the temporaries of one evaluation or feedback block.
+_BLOCK_BYTES = 1 << 23
 
 
 class Polarity(str, Enum):
@@ -70,14 +79,12 @@ class TMParams:
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Pack a boolean array's last axis into little-endian 64-bit words."""
-    bits = np.asarray(bits, dtype=bool)
-    pad = (-bits.shape[-1]) % 64
-    if pad:
-        widths = [(0, 0)] * (bits.ndim - 1) + [(0, pad)]
-        bits = np.pad(bits, widths)
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    return np.ascontiguousarray(packed).view(np.uint64)
+    """Pack a boolean array's last axis into zero-padded little-endian 64-bit words."""
+    packed = np.packbits(np.asarray(bits, dtype=bool), axis=-1, bitorder="little")
+    width = packed.shape[-1]
+    out = np.zeros(packed.shape[:-1] + ((width + 7) // 8 * 8,), dtype=np.uint8)
+    out[..., :width] = packed
+    return out.view(np.uint64)
 
 
 def literal_vector(bits: np.ndarray) -> np.ndarray:
@@ -86,86 +93,90 @@ def literal_vector(bits: np.ndarray) -> np.ndarray:
     return np.concatenate([bits, ~bits], axis=-1)
 
 
-class ClauseBank:
-    """TA states for one class's clause pool; first half positive polarity."""
+def _bernoulli_positions(size: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """Sorted positions in [0, size), each present independently with probability p.
 
-    def __init__(
-        self,
-        clause_count: int,
-        feature_count: int,
-        state_count: int,
-        init: str = "deep",
-        rng: np.random.Generator | None = None,
-    ) -> None:
+    The gaps between successive positions are geometric(p), drawn as
+    floor(E / -log(1 - p)) + 1 from standard exponentials E, in blocks a few
+    deviations above the expected count.  Positions are summed in float64,
+    exact for every position below 2**53.
+    """
+    rate = -math.log1p(-p)
+    positions = np.full(1, -1.0)
+    while positions[-1] < size:
+        expected = (size - 1 - positions[-1]) * p
+        gaps = np.floor(rng.standard_exponential(int(expected + 4.0 * math.sqrt(expected)) + 16) / rate)
+        positions = np.concatenate([positions, positions[-1] + np.cumsum(gaps + 1.0)])
+    return positions[1 : np.searchsorted(positions, size)].astype(np.int64)
+
+
+class ClauseBank:
+    """TA states for one class's clause pool; first half positive polarity.
+
+    ``state`` is a (clauses, literals) int16 array.  It may be replaced or
+    written in place until the first evaluation builds the packed include
+    view; after that, rows change only through the feedback methods (or
+    ``_write_rows``), which keep the view in step.
+    """
+
+    def __init__(self, clause_count: int, feature_count: int, state_count: int) -> None:
         if clause_count % 2 != 0:
             raise ValueError("clause_count must be even")
         self.clause_count = clause_count
         self.feature_count = feature_count
         self.literal_count = 2 * feature_count
         self.state_count = state_count
-        n = state_count
-        if init == "deep":
-            # Exclude side, one step from include: the common starting point.
-            self.state = np.full((clause_count, self.literal_count), n, dtype=np.int16)
-        elif init == "random":
-            if rng is None:
-                raise ValueError("random init requires an rng")
-            self.state = rng.integers(n, n + 2, size=(clause_count, self.literal_count), dtype=np.int16)
-        else:
-            raise ValueError(f"unknown init {init!r}")
+        # Exclude side, one step from include: the common starting point.
+        self.state = np.full((clause_count, self.literal_count), state_count, dtype=np.int16)
         self.positive_mask = np.zeros(clause_count, dtype=bool)
         self.positive_mask[: clause_count // 2] = True
-        self._cache_version = -1
-        self._version = 0
-
-    # -- include-side views -------------------------------------------------
+        self._block_rows = max(1, _BLOCK_BYTES // max(1, self.state.itemsize * self.literal_count))
+        self._packed: np.ndarray | None = None  # (words, clauses) packed include bits
+        self._nonempty: np.ndarray | None = None  # (clauses,) any literal included
 
     def include_mask(self) -> np.ndarray:
         """Boolean (clauses, literals) matrix of include actions, derived from states."""
-        self._refresh()
-        return self._include
+        return self.state > self.state_count
 
-    def _refresh(self) -> None:
-        if self._cache_version != self._version:
-            self._include = self.state > self.state_count
-            self._include_packed = pack_bits(self._include)
-            self._nonempty = self._include.any(axis=1)
-            self._cache_version = self._version
-
-    def _touch(self) -> None:
-        self._version += 1
+    def _write_rows(self, rows: np.ndarray, block: np.ndarray) -> None:
+        """Store new states for the given rows and repack just those rows."""
+        self.state[rows] = block
+        if self._packed is not None:
+            include = block > self.state_count
+            self._packed[:, rows] = pack_bits(include).T
+            self._nonempty[rows] = include.any(axis=1)
 
     # -- evaluation ----------------------------------------------------------
 
     def fired(self, not_literals_packed: np.ndarray, mode: EvalMode) -> np.ndarray:
-        """Evaluate all clauses on one input given pack_bits(~literals)."""
-        self._refresh()
-        violated = np.bitwise_and(self._include_packed, not_literals_packed).any(axis=1)
-        out = ~violated
-        if mode is EvalMode.INFERENCE:
-            out &= self._nonempty
-        return out
+        """Evaluate all clauses on pack_bits(~literals) of one input or a stack of them.
 
-    def fired_batch(self, literals_matrix: np.ndarray, mode: EvalMode) -> np.ndarray:
-        """Evaluate all clauses on a (docs, literals) matrix; returns (docs, clauses).
-
-        Uses an integer matmul: a clause fails on a document iff it includes
-        at least one false literal, i.e. include . (1 - literals) > 0.
+        A (words,) input gives (clauses,) outputs and a (docs, words) stack
+        gives (docs, clauses).  A clause is violated when one of its packed
+        include words shares a bit with the input's false literals; the view
+        is stored word-major, so each word is one contiguous pass over the
+        clauses, and a stack is taken a block of documents at a time.
         """
-        self._refresh()
-        misses = (~literals_matrix).astype(np.float32) @ self._include.astype(np.float32).T
-        out = misses == 0.0
+        if self._packed is None:
+            include = self.include_mask()
+            self._packed = np.ascontiguousarray(pack_bits(include).T)  # (words, clauses)
+            self._nonempty = include.any(axis=1)
+        docs = np.atleast_2d(not_literals_packed)
+        violated = np.zeros((len(docs), self.clause_count), dtype=bool)
+        step = max(1, _BLOCK_BYTES // (8 * self.clause_count))
+        for start in range(0, len(docs), step):
+            chunk, out = docs[start : start + step], violated[start : start + step]
+            for word, include_bits in enumerate(self._packed):
+                out |= (include_bits & chunk[:, word, None]) != 0
+        fired = ~violated
         if mode is EvalMode.INFERENCE:
-            out &= self._nonempty[None, :]
-        return out
+            fired &= self._nonempty
+        return fired.reshape(not_literals_packed.shape[:-1] + (self.clause_count,))
 
-    def vote_sum(self, fired: np.ndarray) -> int:
+    def vote_sum(self, fired: np.ndarray) -> np.ndarray:
+        """For-votes minus against-votes over the last (clause) axis."""
         half = self.clause_count // 2
-        return int(fired[:half].sum()) - int(fired[half:].sum())
-
-    def vote_sums_batch(self, fired: np.ndarray) -> np.ndarray:
-        half = self.clause_count // 2
-        return fired[:, :half].sum(axis=1).astype(np.int64) - fired[:, half:].sum(axis=1)
+        return fired[..., :half].sum(axis=-1, dtype=np.int64) - fired[..., half:].sum(axis=-1, dtype=np.int64)
 
     # -- feedback ------------------------------------------------------------
 
@@ -177,44 +188,36 @@ class ClauseBank:
         sensitivity: float,
         rng: np.random.Generator,
     ) -> None:
-        """Apply Type I feedback to the given clause rows (fired and silent)."""
-        low, high = 1, 2 * self.state_count
-        p_reinforce = (sensitivity - 1.0) / sensitivity
-        p_forget = 1.0 / sensitivity
-        if fired_rows.size:
-            draw = rng.random((fired_rows.size, self.literal_count))
-            up = literals[None, :] & (draw < p_reinforce)
-            down = ~literals[None, :] & (draw < p_forget)
-            block = self.state[fired_rows] + up.astype(np.int16) - down.astype(np.int16)
-            np.clip(block, low, high, out=block)
-            self.state[fired_rows] = block
-        if silent_rows.size:
-            down = rng.random((silent_rows.size, self.literal_count)) < p_forget
-            block = self.state[silent_rows] - down.astype(np.int16)
-            np.clip(block, low, high, out=block)
-            self.state[silent_rows] = block
-        if fired_rows.size or silent_rows.size:
-            self._touch()
+        """Apply Type I feedback to the given clause rows (fired and silent).
+
+        Firing rows gain one step on every true literal; then each (row,
+        literal) of both sets loses one step with probability 1/s; then states
+        are clipped to [1, 2n].  A true literal of a firing row thus rises with
+        probability (s-1)/s, a false one falls with 1/s, and every literal of a
+        silent row falls with 1/s.
+        """
+        rows = np.concatenate([fired_rows, silent_rows])
+        if not rows.size:
+            return
+        width = self.literal_count
+        forget = _bernoulli_positions(rows.size * width, 1.0 / sensitivity, rng)
+        for start in range(0, rows.size, self._block_rows):
+            part = rows[start : start + self._block_rows]
+            block = self.state[part]
+            block[: max(0, fired_rows.size - start)] += literals
+            lo, hi = np.searchsorted(forget, (start * width, (start + part.size) * width))
+            block.reshape(-1)[forget[lo:hi] - start * width] -= 1
+            np.clip(block, 1, 2 * self.state_count, out=block)
+            self._write_rows(part, block)
 
     def type_ii(self, fired_rows: np.ndarray, literals: np.ndarray) -> None:
         """Nudge every excluded false literal of the given firing rows toward include."""
-        if not fired_rows.size:
-            return
-        block = self.state[fired_rows]
-        bump = ~literals[None, :] & (block <= self.state_count)
-        self.state[fired_rows] = block + bump.astype(np.int16)
-        self._touch()
-
-    # -- fixture helpers -----------------------------------------------------
-
-    def set_clause(self, index: int, plain: Sequence[int] = (), negated: Sequence[int] = ()) -> None:
-        """Hand-set one clause: listed literals to deep include, the rest deep exclude."""
-        self.state[index, :] = 1
-        for f in plain:
-            self.state[index, f] = 2 * self.state_count
-        for f in negated:
-            self.state[index, self.feature_count + f] = 2 * self.state_count
-        self._touch()
+        false_literals = ~literals
+        for start in range(0, fired_rows.size, self._block_rows):
+            part = fired_rows[start : start + self._block_rows]
+            block = self.state[part]
+            block += false_literals & (block <= self.state_count)
+            self._write_rows(part, block)
 
 
 @dataclass
@@ -227,17 +230,9 @@ class TMModel:
     vocab_hash: str = ""
 
     @classmethod
-    def create(
-        cls,
-        params: TMParams,
-        feature_count: int,
-        vocab_hash: str = "",
-        init: str = "deep",
-    ) -> "TMModel":
-        rng = np.random.default_rng(params.seed) if init == "random" else None
+    def create(cls, params: TMParams, feature_count: int, vocab_hash: str = "") -> "TMModel":
         banks = {
-            label: ClauseBank(params.clause_count, feature_count, params.state_count, init=init, rng=rng)
-            for label in (Label.KNOWN, Label.NOVEL)
+            label: ClauseBank(params.clause_count, feature_count, params.state_count) for label in _CLASS_ORDER
         }
         return cls(params=params, feature_count=feature_count, banks=banks, vocab_hash=vocab_hash)
 
@@ -245,48 +240,57 @@ class TMModel:
         header = {
             "format": _MODEL_FORMAT,
             "version": _MODEL_VERSION,
-            "params": {
-                "clause_count": self.params.clause_count,
-                "vote_margin": self.params.vote_margin,
-                "sensitivity": self.params.sensitivity,
-                "state_count": self.params.state_count,
-                "seed": self.params.seed,
-            },
+            "params": dataclasses.asdict(self.params),
             "feature_count": self.feature_count,
             "vocab_hash": self.vocab_hash,
             "state_dtype": "<i2",
-            "class_order": [label.value for label in (Label.KNOWN, Label.NOVEL)],
+            "class_order": [label.value for label in _CLASS_ORDER],
         }
-        blob = bytearray(json.dumps(header, sort_keys=True).encode("utf-8"))
-        blob += b"\n"
-        for label in (Label.KNOWN, Label.NOVEL):
-            blob += np.ascontiguousarray(self.banks[label].state, dtype="<i2").tobytes()
-        atomic_write_bytes(path, bytes(blob))
+        head = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
+        shape = (len(_CLASS_ORDER), self.params.clause_count, 2 * self.feature_count)
+        blob = np.empty(len(head) + 2 * math.prod(shape), dtype=np.uint8)
+        blob[: len(head)] = np.frombuffer(head, dtype=np.uint8)
+        body = blob[len(head) :].view("<i2").reshape(shape)
+        for k, label in enumerate(_CLASS_ORDER):
+            body[k] = self.banks[label].state
+        atomic_write_bytes(path, memoryview(blob))
 
     @classmethod
     def load(cls, path: str | Path) -> "TMModel":
+        """Read a model file; any malformed header, size or state raises ValueError."""
         raw = Path(path).read_bytes()
-        newline = raw.index(b"\n")
-        header = json.loads(raw[:newline].decode("utf-8"))
-        if header.get("format") != _MODEL_FORMAT:
+        newline = raw.find(b"\n")
+        try:
+            header = json.loads(raw[:newline]) if newline >= 0 else None
+        except ValueError:
+            header = None
+        if not isinstance(header, dict) or header.get("format") != _MODEL_FORMAT:
             raise ValueError(f"not a model file: {path}")
         if header.get("version") != _MODEL_VERSION:
             raise ValueError(f"unsupported model version {header.get('version')!r}")
-        params = TMParams(**header["params"])
-        feature_count = header["feature_count"]
-        model = cls.create(params, feature_count, vocab_hash=header["vocab_hash"])
-        n_lit = 2 * feature_count
-        span = params.clause_count * n_lit * 2  # int16 bytes per bank
-        offset = newline + 1
-        for label in (Label.KNOWN, Label.NOVEL):
-            chunk = raw[offset : offset + span]
-            if len(chunk) != span:
-                raise ValueError(f"truncated model file: {path}")
-            states = np.frombuffer(chunk, dtype="<i2").reshape(params.clause_count, n_lit)
-            model.banks[label].state = states.astype(np.int16)
-            model.banks[label]._touch()
-            offset += span
+        params = TMParams(**{k: _header_field(header.get("params"), k, kind, path) for k, kind in _PARAM_TYPES.items()})
+        feature_count = _header_field(header, "feature_count", int, path)
+        vocab_hash = _header_field(header, "vocab_hash", str, path)
+        if header.get("state_dtype") != "<i2" or header.get("class_order") != [l.value for l in _CLASS_ORDER]:
+            raise ValueError(f"unsupported state layout in model file: {path}")
+        shape = (len(_CLASS_ORDER), params.clause_count, 2 * feature_count)
+        if len(raw) - newline - 1 != 2 * math.prod(shape):
+            raise ValueError(f"model file is truncated or has trailing bytes: {path}")
+        body = np.frombuffer(raw, dtype="<i2", offset=newline + 1).reshape(shape)
+        model = cls.create(params, feature_count, vocab_hash=vocab_hash)
+        high = 2 * params.state_count
+        for k, label in enumerate(_CLASS_ORDER):
+            if body[k].min() < 1 or body[k].max() > high:
+                raise ValueError(f"{label.value} clause states outside [1, {high}] in model file: {path}")
+            model.banks[label].state = body[k].astype(np.int16)
         return model
+
+
+def _header_field(mapping: object, key: str, kind: type | tuple[type, ...], path: str | Path) -> object:
+    value = mapping.get(key) if isinstance(mapping, dict) else None
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ValueError(f"model header key {key!r} is missing or has the wrong type: {path}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -342,25 +346,20 @@ def class_sum(model: TMModel, bits: np.ndarray, label: Label, mode: EvalMode = E
     if bits.shape[-1] != model.feature_count:
         raise ValueError(f"input width {bits.shape[-1]} != model width {model.feature_count}")
     fired = bank.fired(pack_bits(~literal_vector(bits)), mode)
-    raw = bank.vote_sum(fired)
+    raw = int(bank.vote_sum(fired))
     margin = model.params.vote_margin
     return ClassSum(clamped=int(np.clip(raw, -margin, margin)), raw=raw)
 
 
 def classify(model: TMModel, bits: np.ndarray) -> Label:
     """Pick the class with the larger vote sum; ties go to KNOWN."""
-    known = class_sum(model, bits, Label.KNOWN).raw
-    novel = class_sum(model, bits, Label.NOVEL).raw
-    return Label.NOVEL if novel > known else Label.KNOWN
+    return Label.NOVEL if classify_batch(model, bits[None, :])[0] else Label.KNOWN
 
 
 def classify_batch(model: TMModel, bits_matrix: np.ndarray) -> np.ndarray:
     """Vectorized classify over a (docs, features) matrix; True = NOVEL."""
-    lits = literal_vector(bits_matrix)
-    sums = {
-        label: model.banks[label].vote_sums_batch(model.banks[label].fired_batch(lits, EvalMode.INFERENCE))
-        for label in (Label.KNOWN, Label.NOVEL)
-    }
+    not_packed = pack_bits(~literal_vector(bits_matrix))
+    sums = {label: bank.vote_sum(bank.fired(not_packed, EvalMode.INFERENCE)) for label, bank in model.banks.items()}
     return sums[Label.NOVEL] > sums[Label.KNOWN]
 
 
@@ -390,7 +389,7 @@ def fit(
     is_novel = np.array([doc.label is Label.NOVEL for doc in docs])
 
     rng = np.random.default_rng(model.params.seed)
-    order_banks = (model.banks[Label.KNOWN], model.banks[Label.NOVEL])
+    order_banks = tuple(model.banks[label] for label in _CLASS_ORDER)
     margin = model.params.vote_margin
     s = model.params.sensitivity
 
@@ -417,18 +416,11 @@ def _feedback_step(
     rng: np.random.Generator,
 ) -> None:
     fired = bank.fired(not_packed, EvalMode.LEARNING)
-    clamped = max(-margin, min(margin, bank.vote_sum(fired)))
-    if toward:
-        update_p = (margin - clamped) / (2.0 * margin)
-    else:
-        update_p = (margin + clamped) / (2.0 * margin)
-    selected = rng.random(bank.clause_count) < update_p
-    if toward:
-        type_i_pool = selected & bank.positive_mask
-        type_ii_pool = selected & ~bank.positive_mask & fired
-    else:
-        type_i_pool = selected & ~bank.positive_mask
-        type_ii_pool = selected & bank.positive_mask & fired
+    clamped = max(-margin, min(margin, int(bank.vote_sum(fired))))
+    selected = rng.random(bank.clause_count) < (margin - (clamped if toward else -clamped)) / (2.0 * margin)
+    votes_with = bank.positive_mask if toward else ~bank.positive_mask
+    type_i_pool = selected & votes_with
+    type_ii_pool = selected & ~votes_with & fired
     bank.type_i(
         np.flatnonzero(type_i_pool & fired),
         np.flatnonzero(type_i_pool & ~fired),

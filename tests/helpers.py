@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+from typing import Sequence
+
+import numpy as np
+
 from tmnovelty.corpus import Label, Vocabulary
-from tmnovelty.tsetlin import ExtractedClause, Polarity, TMModel, TMParams
+from tmnovelty.tsetlin import ClauseBank, ExtractedClause, Polarity, TMModel, TMParams
 
 # Ten-word vocabulary of the two-sentence cricket/rugby case study.
 CASE_STUDY_WORDS = (
@@ -52,6 +56,14 @@ EXPECTED_BAG_NOVEL = {
 }
 
 
+def set_clause(bank: ClauseBank, index: int, plain: Sequence[int] = (), negated: Sequence[int] = ()) -> None:
+    """Hand-set one clause: listed literals to deep include, the rest deep exclude."""
+    row = np.ones(bank.literal_count, dtype=np.int16)
+    row[list(plain)] = 2 * bank.state_count
+    row[[bank.feature_count + f for f in negated]] = 2 * bank.state_count
+    bank._write_rows(np.array([index]), row[None, :])
+
+
 def case_study_vocab() -> Vocabulary:
     return Vocabulary(CASE_STUDY_WORDS)
 
@@ -87,5 +99,5 @@ def case_study_model(seed: int = 0) -> TMModel:
     for label, polarity, plain in _CASE_STUDY_SPEC:
         row = next_row[(label, polarity)]
         next_row[(label, polarity)] += 1
-        model.banks[label].set_clause(row, plain=[vocab.index_of[w] for w in plain])
+        set_clause(model.banks[label], row, plain=[vocab.index_of[w] for w in plain])
     return model

@@ -2,12 +2,14 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from tmnovelty.cli import EXIT_MISSING, EXIT_OK, EXIT_VALIDATION, main
 from tmnovelty.config import RunConfig, parse_config, serialize_config
+from tmnovelty.corpus import write_vocabulary
 
-from helpers import case_study_model
+from helpers import case_study_model, case_study_vocab
 
 
 @pytest.fixture()
@@ -158,6 +160,41 @@ class TestExitCodes:
         code = main(["describe", *base])
         assert code == EXIT_VALIDATION
         assert "hash mismatch" in capsys.readouterr().err
+
+
+def _without(mapping, key):
+    return {k: v for k, v in mapping.items() if k != key}
+
+
+# Each edit takes the parsed header and the raw state bytes of a case-study
+# model.tm and returns the corrupted pair.
+MODEL_CORRUPTIONS = {
+    "missing-feature-count": lambda h, body: (_without(h, "feature_count"), body),
+    "string-feature-count": lambda h, body: ({**h, "feature_count": "10"}, body),
+    "missing-param": lambda h, body: ({**h, "params": _without(h["params"], "state_count")}, body),
+    "float-clause-count": lambda h, body: ({**h, "params": {**h["params"], "clause_count": 4.0}}, body),
+    "numeric-vocab-hash": lambda h, body: ({**h, "vocab_hash": 7}, body),
+    "header-not-an-object": lambda h, body: ([h], body),
+    "truncated": lambda h, body: (h, body[:-2]),
+    "trailing-bytes": lambda h, body: (h, body + b"\x00\x00"),
+    "state-999": lambda h, body: (h, np.array([999], dtype="<i2").tobytes() + body[2:]),
+    "state-0": lambda h, body: (h, body[:-2] + b"\x00\x00"),
+}
+
+
+@pytest.mark.parametrize("corrupt", MODEL_CORRUPTIONS.values(), ids=MODEL_CORRUPTIONS.keys())
+def test_describe_rejects_corrupt_model(tmp_path, capsys, corrupt):
+    out = tmp_path / "out"
+    write_vocabulary(case_study_vocab(), out / "vocabulary.txt")
+    case_study_model().save(out / "model.tm")
+    raw = (out / "model.tm").read_bytes()
+    newline = raw.index(b"\n")
+    header, body = corrupt(json.loads(raw[:newline]), raw[newline + 1 :])
+    (out / "model.tm").write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+    assert main(["describe", "--out", str(out)]) == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestCaseStudyGolden:

@@ -25,6 +25,7 @@ from tmnovelty.corpus import (
     write_tokens,
     write_vocabulary,
 )
+from tmnovelty.synthetic import _word_series
 
 from helpers import CASE_STUDY_WORDS
 
@@ -93,6 +94,14 @@ class TestNormalize:
         stoplist = load_stopwords()
         assert "the" in stoplist and "cricket" not in stoplist
         assert len(stoplist) > 100
+
+
+def test_synthetic_word_names_widen_past_two_letters():
+    words = _word_series("kw", 5000)
+    assert len(set(words)) == 5000
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    assert words[:676] == ["kw" + letters[i // 26] + letters[i % 26] + "x" for i in range(676)]
+    assert normalize(tokenize(" ".join(words)), load_stopwords()) == words
 
 
 class TestBuildVocabulary:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from tmnovelty import tsetlin
 from tmnovelty.corpus import BoolDoc, Label
 from tmnovelty.tsetlin import (
     ClauseBank,
@@ -23,7 +24,7 @@ from tmnovelty.tsetlin import (
     write_clause_dump,
 )
 
-from helpers import case_study_model, case_study_vocab
+from helpers import case_study_model, case_study_vocab, set_clause
 
 
 def bits(*values) -> np.ndarray:
@@ -55,13 +56,13 @@ class TestPackBits:
 class TestClauseEval:
     def test_conjunction_fires_when_all_literals_true(self):
         bank = ClauseBank(2, 2, 8)
-        bank.set_clause(0, plain=[0, 1])
+        set_clause(bank, 0, plain=[0, 1])
         assert clause_eval(bank, 0, bits(True, True), EvalMode.INFERENCE) is True
         assert clause_eval(bank, 0, bits(True, False), EvalMode.INFERENCE) is False
 
     def test_negated_literal(self):
         bank = ClauseBank(2, 1, 8)
-        bank.set_clause(0, negated=[0])
+        set_clause(bank, 0, negated=[0])
         assert clause_eval(bank, 0, bits(True), EvalMode.INFERENCE) is False
         assert clause_eval(bank, 0, bits(False), EvalMode.INFERENCE) is True
 
@@ -76,25 +77,70 @@ class TestClauseEval:
             clause_eval(bank, 0, bits(True), EvalMode.INFERENCE)
 
     def test_packed_matches_naive_loop_on_random_pairs(self):
-        # 10_000 random (clause, input) pairs, three evaluation routes.
+        # 10_000 random (clause, input) pairs: fired on one input, fired on a
+        # stack, and classify_batch, all against the per-literal oracle.
         rng = np.random.default_rng(42)
         n_states = 4
         pairs = 0
         for _ in range(50):
-            features = int(rng.integers(1, 12))
-            bank = ClauseBank(20, features, n_states)
-            bank.state = rng.integers(1, 2 * n_states + 1, size=bank.state.shape).astype(np.int16)
-            bank._touch()
+            features = int(rng.integers(1, 80))
+            model = TMModel.create(small_params(clause_count=20, state_count=n_states), features)
+            for bank in model.banks.values():
+                bank.state = rng.integers(1, 2 * n_states + 1, size=bank.state.shape).astype(np.int16)
             inputs = rng.random((10, features)) < 0.5
-            lits = literal_vector(inputs)
-            batch = bank.fired_batch(lits, EvalMode.INFERENCE)
+            not_packed = pack_bits(~literal_vector(inputs))
+            bank = model.banks[Label.KNOWN]
+            stacked = bank.fired(not_packed, EvalMode.INFERENCE)
+            assert stacked.shape == (10, 20)
             for d in range(10):
-                packed_row = bank.fired(pack_bits(~lits[d]), EvalMode.INFERENCE)
+                single = bank.fired(not_packed[d], EvalMode.INFERENCE)
                 for j in range(20):
                     naive = _naive_eval(bank.state[j], n_states, inputs[d], learning=False)
-                    assert bool(packed_row[j]) == naive == bool(batch[d, j])
+                    assert bool(single[j]) == naive == bool(stacked[d, j])
                     pairs += 1
+            sums = {
+                label: [
+                    sum((1 if j < 10 else -1) * _naive_eval(b.state[j], n_states, x, learning=False) for j in range(20))
+                    for x in inputs
+                ]
+                for label, b in model.banks.items()
+            }
+            expected = [novel > known for known, novel in zip(sums[Label.KNOWN], sums[Label.NOVEL])]
+            assert classify_batch(model, inputs).tolist() == expected
         assert pairs == 10_000
+
+    def test_stack_evaluation_in_blocks_matches_single_inputs(self, monkeypatch):
+        # A block budget of one document's worth forces one document per block.
+        rng = np.random.default_rng(8)
+        bank = ClauseBank(6, 70, 4)
+        bank.state = rng.integers(1, 9, size=bank.state.shape).astype(np.int16)
+        not_packed = pack_bits(~literal_vector(rng.random((5, 70)) < 0.5))
+        monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", 8 * bank.clause_count)
+        stacked = bank.fired(not_packed, EvalMode.LEARNING)
+        for d in range(5):
+            assert np.array_equal(stacked[d], bank.fired(not_packed[d], EvalMode.LEARNING))
+
+    def test_incremental_view_matches_full_rederivation(self, monkeypatch):
+        # Interleave evaluation and both feedback types with the packed view
+        # live; small feedback blocks exercise the row-block loop.
+        monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", 64)
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            features = int(rng.integers(1, 70))
+            bank = ClauseBank(12, features, 3)
+            bank.state = rng.integers(1, 7, size=bank.state.shape).astype(np.int16)
+            for _ in range(30):
+                x = rng.random(features) < 0.5
+                lits = literal_vector(x)
+                fired = bank.fired(pack_bits(~lits), EvalMode.LEARNING)
+                chosen = rng.random(12) < 0.5
+                if rng.random() < 0.5:
+                    bank.type_i(np.flatnonzero(chosen & fired), np.flatnonzero(chosen & ~fired), lits, 2.0, rng)
+                else:
+                    bank.type_ii(np.flatnonzero(chosen & fired), lits)
+            include = bank.state > bank.state_count
+            assert np.array_equal(bank._packed, pack_bits(include).T)
+            assert np.array_equal(bank._nonempty, include.any(axis=1))
 
 
 def _naive_eval(states, n_states, input_bits, learning):
@@ -115,8 +161,8 @@ class TestClassSum:
         model = TMModel.create(small_params(clause_count=8, vote_margin=50), 1)
         bank = model.banks[Label.KNOWN]
         for row in (0, 1, 2):  # positive half
-            bank.set_clause(row, plain=[0])
-        bank.set_clause(4, plain=[0])  # one negative clause
+            set_clause(bank, row, plain=[0])
+        set_clause(bank, 4, plain=[0])  # one negative clause
         result = class_sum(model, bits(True), Label.KNOWN)
         assert result.raw == 2 and result.clamped == 2
 
@@ -124,7 +170,7 @@ class TestClassSum:
         model = TMModel.create(small_params(clause_count=160, vote_margin=50), 1)
         bank = model.banks[Label.KNOWN]
         for row in range(80):
-            bank.set_clause(row, plain=[0])
+            set_clause(bank, row, plain=[0])
         result = class_sum(model, bits(True), Label.KNOWN)
         assert result.raw == 80 and result.clamped == 50
 
@@ -136,10 +182,10 @@ class TestClassify:
         # against-votes on the equal patterns, all in the NOVEL bank.
         model = TMModel.create(small_params(), 2)
         bank = model.banks[Label.NOVEL]
-        bank.set_clause(0, plain=[0], negated=[1])  # x1 & ~x2
-        bank.set_clause(1, plain=[1], negated=[0])  # ~x1 & x2
-        bank.set_clause(2, plain=[0, 1])  # x1 & x2
-        bank.set_clause(3, negated=[0, 1])  # ~x1 & ~x2
+        set_clause(bank, 0, plain=[0], negated=[1])  # x1 & ~x2
+        set_clause(bank, 1, plain=[1], negated=[0])  # ~x1 & x2
+        set_clause(bank, 2, plain=[0, 1])  # x1 & x2
+        set_clause(bank, 3, negated=[0, 1])  # ~x1 & ~x2
         return model
 
     def test_xor_mixed_input_goes_to_positive_class(self, xor_model):
@@ -161,7 +207,6 @@ class TestClassify:
             for label in (Label.KNOWN, Label.NOVEL):
                 bank = model.banks[label]
                 bank.state = rng.integers(1, 7, size=bank.state.shape).astype(np.int16)
-                bank._touch()
             x = rng.random(5) < 0.5
             diff = class_sum(model, x, Label.NOVEL).raw - class_sum(model, x, Label.KNOWN).raw
             assert (classify(model, x) is Label.NOVEL) == (diff > 0)
@@ -180,13 +225,11 @@ class TestTypeIFeedback:
     def test_saturation_at_lower_bound(self):
         bank = ClauseBank(2, 2, 1)
         bank.state[:] = 1
-        bank._touch()
         # Clause includes nothing -> fires in learning; but force the silent
         # branch by including a literal false on the input.
-        bank.set_clause(0, plain=[1])
+        set_clause(bank, 0, plain=[1])
         bank.state[0, :] = 1
         bank.state[0, 1] = 2  # include x2, false on the input below
-        bank._touch()
         rng = np.random.default_rng(0)
         type_i_feedback(bank, 0, bits(True, False), 1.5, rng)
         assert bank.state[0].min() >= 1
@@ -211,7 +254,6 @@ class TestTypeIFeedback:
         s = 4.0
         bank = ClauseBank(n, 1, 8)
         bank.state[:, 0] = 10  # include x1 so clauses are silent on x1=0
-        bank._touch()
         rng = np.random.default_rng(5)
         lits = literal_vector(bits(False))
         fired = bank.fired(pack_bits(~lits), EvalMode.LEARNING)
@@ -219,6 +261,29 @@ class TestTypeIFeedback:
         bank.type_i(np.empty(0, dtype=np.int64), np.arange(n), lits, s, rng)
         decay_freq = float(np.mean(bank.state[:, 0] == 9))
         assert abs(decay_freq - 1 / s) < 3 * ((1 / s) * (1 - 1 / s) / n) ** 0.5
+
+
+    @pytest.mark.parametrize("s", [1.5, 1e12])
+    def test_move_frequencies_and_bounds_at_extreme_sensitivities(self, s):
+        # Input (1, 0): literals [x1, x2, ~x1, ~x2] are true, false, false,
+        # true.  Rows 0..n-1 fire, rows n..2n-1 are silent.
+        n = 50_000
+        bank = ClauseBank(2 * n, 2, 8)
+        bank.state[:] = [16, 1, 8, 8]
+        bank.type_i(np.arange(n), np.arange(n, 2 * n), literal_vector(bits(True, False)), s, np.random.default_rng(17))
+        fired, silent = bank.state[:n], bank.state[n:]
+        assert (fired[:, 0] == 16).all() and (fired[:, 1] == 1).all() and (silent[:, 1] == 1).all()
+        up, down = (s - 1) / s, 1 / s
+        moves = (  # (states, start, after one move, probability of the move)
+            (fired[:, 3], 8, 9, up),
+            (fired[:, 2], 8, 7, down),
+            (silent[:, 0], 16, 15, down),
+            (silent[:, 2], 8, 7, down),
+            (silent[:, 3], 8, 7, down),
+        )
+        for column, start, moved, p in moves:
+            assert np.isin(column, (start, moved)).all()
+            assert abs(np.mean(column == moved) - p) <= 3 * (p * (1 - p) / n) ** 0.5 + 1e-9
 
 
 class TestTypeIIFeedback:
@@ -230,7 +295,7 @@ class TestTypeIIFeedback:
 
     def test_true_literals_untouched(self):
         bank = ClauseBank(2, 2, 8)
-        bank.set_clause(0, plain=[0])
+        set_clause(bank, 0, plain=[0])
         before = bank.state[0].copy()
         type_ii_feedback(bank, 0, bits(True, True))
         after = bank.state[0]
@@ -240,7 +305,7 @@ class TestTypeIIFeedback:
 
     def test_non_firing_clause_rejected(self):
         bank = ClauseBank(2, 2, 8)
-        bank.set_clause(0, plain=[1])  # includes x2, false on input
+        set_clause(bank, 0, plain=[1])  # includes x2, false on input
         with pytest.raises(ValueError, match="firing"):
             type_ii_feedback(bank, 0, bits(True, False))
 
@@ -258,7 +323,6 @@ class TestTypeIIFeedback:
             chosen = true_idx[rng.random(true_idx.size) < 0.5]
             state[chosen] = rng.integers(n_states + 1, 2 * n_states + 1, size=chosen.size)
             bank.state[0] = state.astype(np.int16)
-            bank._touch()
             applications = 0
             while clause_eval(bank, 0, x, EvalMode.LEARNING) and applications <= 2 * n_states:
                 type_ii_feedback(bank, 0, x)
@@ -349,7 +413,7 @@ class TestExtractClauses:
 
     def test_negated_only_clause(self):
         model = TMModel.create(small_params(), 3)
-        model.banks[Label.KNOWN].set_clause(0, negated=[2])
+        set_clause(model.banks[Label.KNOWN], 0, negated=[2])
         clauses = extract_clauses(model, _vocab3())
         assert len(clauses) == 1
         assert clauses[0].plain_words == frozenset()
