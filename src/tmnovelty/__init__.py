@@ -36,7 +36,6 @@ from .novelty import (
     build_word_bags,
     contextual_score,
     cooccurrence,
-    merge_word_bags,
     novelty_scores,
     relative_frequency,
     score_document,
@@ -85,7 +84,6 @@ __all__ = [
     "fit",
     "fit_logistic",
     "load_stopwords",
-    "merge_word_bags",
     "normalize",
     "novelty_scores",
     "relative_frequency",

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from ._files import atomic_write_text
 from .corpus import CorpusStats, Label, LABELS
@@ -50,21 +50,6 @@ def tfidf_scores(stats: CorpusStats) -> TfidfTable:
             for word, count in stats.per_class_term_freq[label].items()
         }
     return TfidfTable(scores=scores, idf=idf)
-
-
-def per_document_tfidf(tokens: Sequence[str], stats: CorpusStats) -> dict[str, float]:
-    """Document-level variant: TF from the single document, IDF global."""
-    if not tokens:
-        return {}
-    total_docs = stats.doc_count_total
-    counts: dict[str, int] = {}
-    for t in tokens:
-        counts[t] = counts.get(t, 0) + 1
-    out = {}
-    for word, count in counts.items():
-        containing = stats.doc_count_containing.get(word, 0)
-        out[word] = (count / len(tokens)) * math.log2(total_docs / (containing + 1))
-    return out
 
 
 def write_tfidf_table(table: TfidfTable, stats: CorpusStats, path: str | Path) -> None:

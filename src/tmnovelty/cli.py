@@ -217,6 +217,8 @@ def cmd_tfidf(config: RunConfig) -> None:
 
 
 def cmd_eval(config: RunConfig) -> None:
+    if not config.smoothing:
+        raise ValidationError("eval needs smoothing: the summary table and the logistic features need finite scores")
     outdir = _outdir(config)
     vocab = _read_vocab(outdir)
     model = _read_model(outdir, vocab)

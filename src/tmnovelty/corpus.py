@@ -306,12 +306,15 @@ def write_booldocs(docs: Iterable[BoolDoc], path: str | Path) -> None:
 
 
 def read_booldocs(path: str | Path, vocab_size: int) -> list[BoolDoc]:
+    """Read bit vectors back; every set bit must be an integer in [0, vocab_size)."""
     docs: list[BoolDoc] = []
     with Path(path).open(newline="", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
+            fields = row["set_bits"].split(";") if row["set_bits"] else []
+            if not all(f.isdecimal() and int(f) < vocab_size for f in fields):
+                raise ValueError(f"document {row['doc_id']!r}: set_bits must be integers in [0, {vocab_size})")
             bits = np.zeros(vocab_size, dtype=bool)
-            if row["set_bits"]:
-                bits[[int(i) for i in row["set_bits"].split(";")]] = True
+            bits[[int(f) for f in fields]] = True
             docs.append(BoolDoc(row["doc_id"], Label.parse(row["label"]), bits))
     return docs
 

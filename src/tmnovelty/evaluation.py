@@ -1,17 +1,17 @@
 """Evaluation machinery: word categories, CFD curves, summary tables,
 logistic regression on document score features, and ROC / precision-recall.
 
-Documents are summarized by four features of their per-word scores (mean
-log score, max score, fraction of tokens scoring above 1, scored-token
-coverage); a seeded stratified split plus full-batch logistic regression
-turns those into a known/novel classifier whose ranking quality is reported
-as ROC AUC and average precision.
+Documents are summarized by four features of their per-word scores: mean
+log score, max score and fraction of tokens scoring above 1, all three from
+``novelty.reduce_scores`` (the same reduction as the ``--aggregator``
+column), plus scored-token coverage.  A seeded stratified split plus
+full-batch logistic regression turns those into a known/novel classifier
+whose ranking quality is reported as ROC AUC and average precision.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
@@ -23,9 +23,7 @@ import numpy as np
 
 from ._files import atomic_write_text
 from .corpus import Label
-from .novelty import WordBags
-
-_LOG_FLOOR = 1e-12
+from .novelty import Aggregator, WordBags, reduce_scores
 
 
 class WordCategory(str, Enum):
@@ -104,24 +102,23 @@ def summary_stats(scores_by_category: Mapping[str, Sequence[float]]) -> list[Cat
 def doc_feature_matrix(
     token_docs: Sequence[Sequence[str]],
     word_scores: Mapping[str, float],
-    log_floor: float = _LOG_FLOOR,
 ) -> np.ndarray:
     """Four features per document from its per-word scores.
 
-    Columns: mean log score, max score, fraction of tokens with score > 1,
-    scored-token coverage.  Scores at or below zero are floored at
-    ``log_floor`` inside the log so the features stay finite; documents with
-    no scored token get all-zero features.
+    Columns: mean log score, max score, fraction of tokens with score > 1
+    (from ``reduce_scores``, whose log floor keeps scores at or below zero
+    finite), and scored-token coverage.  Documents with no scored token get
+    all-zero features.
     """
     out = np.zeros((len(token_docs), 4), dtype=np.float64)
     for i, tokens in enumerate(token_docs):
         hits = [word_scores[t] for t in tokens if t in word_scores]
-        if not hits or not tokens:
+        if not hits:
             continue
-        logs = [math.log(max(s, log_floor)) for s in hits]
-        out[i, 0] = fmean(logs)
-        out[i, 1] = max(hits)
-        out[i, 2] = sum(1 for s in hits if s > 1.0) / len(hits)
+        reduced = reduce_scores(hits)
+        out[i, 0] = reduced[Aggregator.MEAN_LOG]
+        out[i, 1] = reduced[Aggregator.MAX]
+        out[i, 2] = reduced[Aggregator.FRACTION_ABOVE_ONE]
         out[i, 3] = len(hits) / len(tokens)
     return out
 

@@ -5,9 +5,12 @@ words of for-votes and negated words of against-votes characterize the
 clause's own group, everything else characterizes the other group.  A word's
 novelty score is the ratio of its smoothed relative frequency in the novel
 bag to that in the known bag, so scores above 1 lean novel and below 1 lean
-known.  Pair scores divide clause co-occurrence probability by the product
-of the individual word probabilities, exposing words that the clauses treat
-as one context.
+known.  Each bag is summed once, and the whole table is scored in one pass
+over the words.  A document is reduced over its scored token occurrences by
+``reduce_scores``, the one reduction behind both the ``--aggregator`` column
+and the logistic document features.  Pair scores divide clause co-occurrence
+probability by the product of the individual word probabilities, exposing
+words that the clauses treat as one context.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from itertools import combinations
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -32,11 +36,11 @@ class WordBags:
     known: Mapping[str, int]
     novel: Mapping[str, int]
 
-    @property
+    @cached_property
     def total_known(self) -> int:
         return sum(self.known.values())
 
-    @property
+    @cached_property
     def total_novel(self) -> int:
         return sum(self.novel.values())
 
@@ -64,15 +68,11 @@ def build_word_bags(clauses: Sequence[ExtractedClause]) -> WordBags:
     return WordBags(known=dict(bag_known), novel=dict(bag_novel))
 
 
-def merge_word_bags(*parts: WordBags) -> WordBags:
-    """Combine partial bags by adding counts; associative, so partial bags
-    built from clause-list chunks in any grouping merge to the same result."""
-    known: Counter[str] = Counter()
-    novel: Counter[str] = Counter()
-    for part in parts:
-        known.update(part.known)
-        novel.update(part.novel)
-    return WordBags(known=dict(known), novel=dict(novel))
+def _smoothed(count: int, smoothing: bool) -> int:
+    """A raw bag count, lifted to at least 1 when smoothing is on."""
+    if smoothing:
+        count = max(count, 1)
+    return count
 
 
 def relative_frequency(bags: WordBags, word: str, label: Label, smoothing: bool = True) -> float:
@@ -87,10 +87,7 @@ def relative_frequency(bags: WordBags, word: str, label: Label, smoothing: bool 
     total = bags.total_known if label is Label.KNOWN else bags.total_novel
     if total == 0:
         raise ValueError("untrained description: empty bag")
-    count = bag.get(word, 0)
-    if smoothing:
-        count = max(count, 1)
-    return count / total
+    return _smoothed(bag.get(word, 0), smoothing) / total
 
 
 @dataclass(frozen=True)
@@ -109,7 +106,7 @@ class ScoreTable:
 
 
 def novelty_scores(bags: WordBags, smoothing: bool = True) -> ScoreTable:
-    """Score every word in either bag as p_novel / p_known.
+    """Score every word in either bag as p_novel / p_known, in one pass.
 
     With smoothing on (the default) every score is finite and positive.
     With smoothing off, a word seen only in the known bag scores 0 and a
@@ -123,20 +120,9 @@ def novelty_scores(bags: WordBags, smoothing: bool = True) -> ScoreTable:
     rel_known: dict[str, float] = {}
     rel_novel: dict[str, float] = {}
     for word in bags.words():
-        in_known = bags.known.get(word, 0) > 0
-        in_novel = bags.novel.get(word, 0) > 0
-        p_known = relative_frequency(bags, word, Label.KNOWN, smoothing=smoothing)
-        p_novel = relative_frequency(bags, word, Label.NOVEL, smoothing=smoothing)
-        rel_known[word] = p_known
-        rel_novel[word] = p_novel
-        if smoothing:
-            scores[word] = p_novel / p_known
-        elif in_known and in_novel:
-            scores[word] = p_novel / p_known
-        elif in_known:
-            scores[word] = 0.0
-        else:
-            scores[word] = math.inf
+        p_known = rel_known[word] = _smoothed(bags.known.get(word, 0), smoothing) / total_known
+        p_novel = rel_novel[word] = _smoothed(bags.novel.get(word, 0), smoothing) / total_novel
+        scores[word] = p_novel / p_known if p_known else math.inf
     return ScoreTable(scores=scores, rel_freq_known=rel_known, rel_freq_novel=rel_novel)
 
 
@@ -147,6 +133,26 @@ class Aggregator(str, Enum):
     SUM_LOG = "sum_log"
     MAX = "max"
     FRACTION_ABOVE_ONE = "fraction_above_one"
+
+
+_LOG_FLOOR = 1e-12
+
+
+def reduce_scores(occurrence_scores: Sequence[float]) -> dict[Aggregator, float]:
+    """Every aggregate over a document's scored token occurrences (at least one).
+
+    Scores at or below zero (unsmoothed known-only words, TF-IDF) are floored
+    at 1e-12 inside the log, so the log aggregates stay finite; the logs are
+    summed exactly (``math.fsum``).
+    """
+    n = len(occurrence_scores)
+    sum_log = math.fsum(math.log(max(s, _LOG_FLOOR)) for s in occurrence_scores)
+    return {
+        Aggregator.MEAN_LOG: sum_log / n,
+        Aggregator.SUM_LOG: sum_log,
+        Aggregator.MAX: max(occurrence_scores),
+        Aggregator.FRACTION_ABOVE_ONE: sum(s > 1.0 for s in occurrence_scores) / n,
+    }
 
 
 @dataclass(frozen=True)
@@ -170,18 +176,10 @@ def score_document(
     if len(table) == 0:
         raise ValueError("empty score table")
     occurrence_scores = [table.scores[t] for t in tokens if t in table.scores]
-    word_scores = {t: table.scores[t] for t in set(tokens) if t in table.scores}
     if not occurrence_scores:
         return ScoredDocument(word_scores={}, aggregate=None, aggregator=aggregator)
-    if aggregator is Aggregator.MEAN_LOG:
-        aggregate = sum(math.log(s) for s in occurrence_scores) / len(occurrence_scores)
-    elif aggregator is Aggregator.SUM_LOG:
-        aggregate = sum(math.log(s) for s in occurrence_scores)
-    elif aggregator is Aggregator.MAX:
-        aggregate = max(occurrence_scores)
-    else:
-        aggregate = sum(1 for s in occurrence_scores if s > 1.0) / len(occurrence_scores)
-    return ScoredDocument(word_scores=word_scores, aggregate=aggregate, aggregator=aggregator)
+    word_scores = {t: table.scores[t] for t in tokens if t in table.scores}
+    return ScoredDocument(word_scores, reduce_scores(occurrence_scores)[aggregator], aggregator)
 
 
 @dataclass(frozen=True)

@@ -43,6 +43,8 @@ _PARAM_TYPES = {"clause_count": int, "vote_margin": int, "sensitivity": (int, fl
 
 # Upper bound on the temporaries of one evaluation or feedback block.
 _BLOCK_BYTES = 1 << 23
+# Largest n whose states [1, 2n] plus one Type I step still fit in int16.
+_MAX_STATE_COUNT = (np.iinfo(np.int16).max - 1) // 2
 
 
 class Polarity(str, Enum):
@@ -74,8 +76,8 @@ class TMParams:
             raise ValueError("vote_margin must be >= 1")
         if not self.sensitivity > 1.0:
             raise ValueError("sensitivity must be > 1")
-        if self.state_count < 1:
-            raise ValueError("state_count must be >= 1")
+        if not 1 <= self.state_count <= _MAX_STATE_COUNT:
+            raise ValueError(f"state_count must be in [1, {_MAX_STATE_COUNT}] (states are int16)")
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:
@@ -291,64 +293,6 @@ def _header_field(mapping: object, key: str, kind: type | tuple[type, ...], path
     if not isinstance(value, kind) or isinstance(value, bool):
         raise ValueError(f"model header key {key!r} is missing or has the wrong type: {path}")
     return value
-
-
-# ---------------------------------------------------------------------------
-# Single-clause operations (the contract surface; the bank methods above are
-# the vectorized forms used by training).
-# ---------------------------------------------------------------------------
-
-
-def clause_eval(bank: ClauseBank, index: int, bits: np.ndarray, mode: EvalMode) -> bool:
-    """Evaluate one clause on one input bit vector."""
-    if bits.shape[-1] != bank.feature_count:
-        raise ValueError(f"input width {bits.shape[-1]} != clause width {bank.feature_count}")
-    nl = pack_bits(~literal_vector(bits))
-    return bool(bank.fired(nl, mode)[index])
-
-
-def type_i_feedback(
-    bank: ClauseBank,
-    index: int,
-    bits: np.ndarray,
-    sensitivity: float,
-    rng: np.random.Generator,
-) -> None:
-    """Apply Type I feedback to one clause, branching on its learning-mode output."""
-    lits = literal_vector(bits)
-    fired = bank.fired(pack_bits(~lits), EvalMode.LEARNING)[index]
-    row = np.array([index])
-    empty = np.empty(0, dtype=np.int64)
-    if fired:
-        bank.type_i(row, empty, lits, sensitivity, rng)
-    else:
-        bank.type_i(empty, row, lits, sensitivity, rng)
-
-
-def type_ii_feedback(bank: ClauseBank, index: int, bits: np.ndarray) -> None:
-    """Apply Type II feedback to one clause; the clause must fire on the input."""
-    lits = literal_vector(bits)
-    if not bank.fired(pack_bits(~lits), EvalMode.LEARNING)[index]:
-        raise ValueError("type II feedback requires a firing clause")
-    bank.type_ii(np.array([index]), lits)
-
-
-@dataclass(frozen=True)
-class ClassSum:
-    """Clause vote sum for one class: clamped for feedback, raw for diagnostics."""
-
-    clamped: int
-    raw: int
-
-
-def class_sum(model: TMModel, bits: np.ndarray, label: Label, mode: EvalMode = EvalMode.INFERENCE) -> ClassSum:
-    bank = model.banks[label]
-    if bits.shape[-1] != model.feature_count:
-        raise ValueError(f"input width {bits.shape[-1]} != model width {model.feature_count}")
-    fired = bank.fired(pack_bits(~literal_vector(bits)), mode)
-    raw = int(bank.vote_sum(fired))
-    margin = model.params.vote_margin
-    return ClassSum(clamped=int(np.clip(raw, -margin, margin)), raw=raw)
 
 
 def classify(model: TMModel, bits: np.ndarray) -> Label:

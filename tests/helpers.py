@@ -1,13 +1,24 @@
-"""Shared fixtures: the sports case-study clauses and a hand-set model."""
+"""Shared fixtures: the sports case-study clauses, a hand-set model, and
+single-clause forms of the clause bank's evaluation and feedback."""
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from tmnovelty.corpus import Label, Vocabulary
-from tmnovelty.tsetlin import ClauseBank, ExtractedClause, Polarity, TMModel, TMParams
+from tmnovelty.tsetlin import (
+    ClauseBank,
+    EvalMode,
+    ExtractedClause,
+    Polarity,
+    TMModel,
+    TMParams,
+    literal_vector,
+    pack_bits,
+)
 
 # Ten-word vocabulary of the two-sentence cricket/rugby case study.
 CASE_STUDY_WORDS = (
@@ -62,6 +73,48 @@ def set_clause(bank: ClauseBank, index: int, plain: Sequence[int] = (), negated:
     row[list(plain)] = 2 * bank.state_count
     row[[bank.feature_count + f for f in negated]] = 2 * bank.state_count
     bank._write_rows(np.array([index]), row[None, :])
+
+
+def clause_eval(bank: ClauseBank, index: int, bits: np.ndarray, mode: EvalMode) -> bool:
+    """Evaluate one clause on one input bit vector."""
+    if bits.shape[-1] != bank.feature_count:
+        raise ValueError(f"input width {bits.shape[-1]} != clause width {bank.feature_count}")
+    return bool(bank.fired(pack_bits(~literal_vector(bits)), mode)[index])
+
+
+def type_i_feedback(bank: ClauseBank, index: int, bits: np.ndarray, sensitivity: float, rng: np.random.Generator) -> None:
+    """Apply Type I feedback to one clause, branching on its learning-mode output."""
+    lits = literal_vector(bits)
+    row, empty = np.array([index]), np.empty(0, dtype=np.int64)
+    if bank.fired(pack_bits(~lits), EvalMode.LEARNING)[index]:
+        bank.type_i(row, empty, lits, sensitivity, rng)
+    else:
+        bank.type_i(empty, row, lits, sensitivity, rng)
+
+
+def type_ii_feedback(bank: ClauseBank, index: int, bits: np.ndarray) -> None:
+    """Apply Type II feedback to one clause; the clause must fire on the input."""
+    lits = literal_vector(bits)
+    if not bank.fired(pack_bits(~lits), EvalMode.LEARNING)[index]:
+        raise ValueError("type II feedback requires a firing clause")
+    bank.type_ii(np.array([index]), lits)
+
+
+@dataclass(frozen=True)
+class ClassSum:
+    """Clause vote sum for one class: clamped at the vote margin, and raw."""
+
+    clamped: int
+    raw: int
+
+
+def class_sum(model: TMModel, bits: np.ndarray, label: Label, mode: EvalMode = EvalMode.INFERENCE) -> ClassSum:
+    if bits.shape[-1] != model.feature_count:
+        raise ValueError(f"input width {bits.shape[-1]} != model width {model.feature_count}")
+    bank = model.banks[label]
+    raw = int(bank.vote_sum(bank.fired(pack_bits(~literal_vector(bits)), mode)))
+    margin = model.params.vote_margin
+    return ClassSum(clamped=max(-margin, min(margin, raw)), raw=raw)
 
 
 def case_study_vocab() -> Vocabulary:

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tmnovelty.baseline import per_document_tfidf, tfidf_scores, write_tfidf_table
+from tmnovelty.baseline import tfidf_scores, write_tfidf_table
 from tmnovelty.corpus import Label, corpus_stats
 
 
@@ -40,13 +40,6 @@ class TestTfidfScores:
         table = tfidf_scores(corpus_stats(docs))
         assert table.score(Label.NOVEL, "a") == 0.0
         assert table.score(Label.KNOWN, "b") == 0.0
-
-    def test_single_document_hand_value(self):
-        # One doc ["a","b"]: tf(a) = 1/2, idf = log2(1/2) = -1, score -0.5.
-        stats = corpus_stats([(Label.KNOWN, ["a", "b"])])
-        scores = per_document_tfidf(["a", "b"], stats)
-        assert scores["a"] == pytest.approx(-0.5)
-        assert scores["b"] == pytest.approx(-0.5)
 
     def test_empty_class_rejected(self):
         stats = corpus_stats([(Label.KNOWN, ["a"])])

@@ -7,7 +7,7 @@ import pytest
 
 from tmnovelty.cli import EXIT_MISSING, EXIT_OK, EXIT_VALIDATION, main
 from tmnovelty.config import RunConfig, parse_config, serialize_config
-from tmnovelty.corpus import write_vocabulary
+from tmnovelty.corpus import read_vocabulary, write_vocabulary
 
 from helpers import case_study_model, case_study_vocab
 
@@ -111,6 +111,22 @@ class TestPipeline:
         assert (out / "model.tm").read_bytes() == before
 
 
+def small_run(tmp_path, corpus_dirs):
+    known, novel = corpus_dirs
+    return [
+        "--known-dir", str(known), "--novel-dir", str(novel),
+        "--clauses", "16", "--vote-margin", "5", "--sensitivity", "3.0",
+        "--state-count", "16", "--epochs", "2", "--seed", "1", "--out", str(tmp_path / "out"),
+    ]
+
+
+def one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    return err
+
+
 class TestExitCodes:
     def test_eval_without_model_is_missing_input(self, tmp_path, corpus_dirs, capsys):
         known, novel = corpus_dirs
@@ -144,6 +160,39 @@ class TestExitCodes:
             "--clauses", "7", "--out", str(tmp_path / "out"),
         ])
         assert code == EXIT_VALIDATION
+
+    def test_eval_refuses_unsmoothed_scores(self, tmp_path, corpus_dirs, capsys):
+        base = small_run(tmp_path, corpus_dirs)
+        assert main(["ingest", *base]) == EXIT_OK
+        assert main(["train", *base]) == EXIT_OK
+        assert main(["describe", *base, "--no-smoothing"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["eval", *base, "--no-smoothing"]) == EXIT_VALIDATION
+        assert "finite scores" in one_line_error(capsys)
+
+    def test_state_count_beyond_int16_is_validation_error(self, tmp_path, corpus_dirs, capsys):
+        base = small_run(tmp_path, corpus_dirs)
+        assert main(["ingest", *base]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["train", *base, "--state-count", "16384"]) == EXIT_VALIDATION
+        assert "state_count" in one_line_error(capsys)
+        assert not (tmp_path / "out" / "model.tm").exists()
+
+    @pytest.mark.parametrize("bad_bit", ["-1", "vocab_size", "x"])
+    def test_train_rejects_bad_bit_index(self, tmp_path, corpus_dirs, capsys, bad_bit):
+        base = small_run(tmp_path, corpus_dirs)
+        assert main(["ingest", *base]) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "out"
+        if bad_bit == "vocab_size":
+            bad_bit = str(len(read_vocabulary(out / "vocabulary.txt")))
+        lines = (out / "booldocs.csv").read_text("utf-8").splitlines(keepends=True)
+        doc_id, label, _ = lines[1].split(",")
+        lines[1] = f"{doc_id},{label},0;{bad_bit}\n"
+        (out / "booldocs.csv").write_text("".join(lines), "utf-8")
+        assert main(["train", *base]) == EXIT_VALIDATION
+        assert repr(doc_id) in one_line_error(capsys)
+        assert not (out / "model.tm").exists()
 
     def test_vocab_hash_mismatch(self, tmp_path, corpus_dirs, capsys):
         known, novel = corpus_dirs

@@ -1,6 +1,8 @@
 """Word bag routing, relative frequencies, novelty and contextual scores."""
 
 import math
+import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -8,14 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tmnovelty.corpus import Label
+from tmnovelty.evaluation import doc_feature_matrix
 from tmnovelty.novelty import (
     Aggregator,
     WordBags,
     build_word_bags,
     contextual_score,
     cooccurrence,
-    merge_word_bags,
     novelty_scores,
+    reduce_scores,
     relative_frequency,
     score_document,
     write_score_table,
@@ -96,13 +99,12 @@ class TestBuildWordBags:
 
     @given(clause_lists, st.integers(0, 12), st.integers(0, 12))
     @settings(max_examples=60, deadline=None)
-    def test_partial_bag_merge_is_associative(self, clauses, cut1, cut2):
+    def test_partial_bags_add_up_to_whole(self, clauses, cut1, cut2):
         lo, hi = sorted((min(cut1, len(clauses)), min(cut2, len(clauses))))
         parts = [build_word_bags(chunk) for chunk in (clauses[:lo], clauses[lo:hi], clauses[hi:])]
         whole = build_word_bags(clauses)
-        left_first = merge_word_bags(merge_word_bags(parts[0], parts[1]), parts[2])
-        right_first = merge_word_bags(parts[0], merge_word_bags(parts[1], parts[2]))
-        assert left_first == right_first == whole
+        assert sum((Counter(p.known) for p in parts), Counter()) == whole.known
+        assert sum((Counter(p.novel) for p in parts), Counter()) == whole.novel
 
     @given(clause_lists)
     @settings(max_examples=60, deadline=None)
@@ -182,6 +184,20 @@ class TestNoveltyScores:
         assert known_sum == pytest.approx(1.0)
         assert novel_sum == pytest.approx(1.0)
 
+    def test_scoring_is_linear_in_vocabulary_size(self):
+        # Each bag is summed once, not once per word.
+        words = [f"w{i:05d}" for i in range(20_000)]
+        bags = WordBags(
+            known={w: i % 7 + 1 for i, w in enumerate(words) if i % 3},
+            novel={w: i % 5 + 1 for i, w in enumerate(words) if i % 3 != 1},
+        )
+        start = time.perf_counter()
+        table = novelty_scores(bags)
+        assert time.perf_counter() - start < 1.0
+        assert len(table) == 20_000
+        word = words[2]  # in both bags, three times each
+        assert table.scores[word] == (3 / bags.total_novel) / (3 / bags.total_known)
+
     @given(
         st.dictionaries(st.sampled_from(_WORDS), st.integers(1, 9), min_size=1),
         st.dictionaries(st.sampled_from(_WORDS), st.integers(1, 9), min_size=1),
@@ -224,6 +240,22 @@ class TestScoreDocument:
         assert sum_log == pytest.approx(
             math.log(table.scores["rugby"]) + math.log(table.scores["cricket"])
         )
+
+    def test_document_features_come_from_the_same_reduction(self, table):
+        tokens = ["rugby", "cricket", "rugby", "zzz", "match"]
+        features = doc_feature_matrix([tokens], table.scores)[0]
+        expected = [
+            score_document(tokens, table, aggregator).aggregate
+            for aggregator in (Aggregator.MEAN_LOG, Aggregator.MAX, Aggregator.FRACTION_ABOVE_ONE)
+        ]
+        assert features[:3].tolist() == expected
+        assert features[3] == 4 / 5
+
+    def test_log_floor_keeps_zero_scores_finite(self):
+        reduced = reduce_scores([0.0, math.e])
+        assert reduced[Aggregator.SUM_LOG] == pytest.approx(math.log(1e-12) + 1.0)
+        assert reduced[Aggregator.MEAN_LOG] == reduced[Aggregator.SUM_LOG] / 2
+        assert reduced[Aggregator.FRACTION_ABOVE_ONE] == 0.5
 
     def test_occurrence_multiplicity_counts(self, table):
         once = score_document(["rugby", "cricket"], table).aggregate

@@ -11,20 +11,24 @@ from tmnovelty.tsetlin import (
     Polarity,
     TMModel,
     TMParams,
-    class_sum,
     classify,
     classify_batch,
-    clause_eval,
     extract_clauses,
     fit,
     literal_vector,
     pack_bits,
-    type_i_feedback,
-    type_ii_feedback,
     write_clause_dump,
 )
 
-from helpers import case_study_model, case_study_vocab, set_clause
+from helpers import (
+    case_study_model,
+    case_study_vocab,
+    class_sum,
+    clause_eval,
+    set_clause,
+    type_i_feedback,
+    type_ii_feedback,
+)
 
 
 def bits(*values) -> np.ndarray:
@@ -35,6 +39,18 @@ def small_params(**overrides) -> TMParams:
     defaults = dict(clause_count=4, vote_margin=5, sensitivity=3.0, state_count=8, seed=0)
     defaults.update(overrides)
     return TMParams(**defaults)
+
+
+class TestParams:
+    def test_state_count_must_leave_room_for_one_step_in_int16(self):
+        with pytest.raises(ValueError, match="state_count"):
+            small_params(state_count=16_384)
+        # At the largest allowed depth, a reinforced top state stays on top.
+        n = small_params(state_count=16_383).state_count
+        bank = ClauseBank(2, 1, n)
+        bank.state[0] = [2 * n, 1]
+        bank.type_i(np.array([0]), np.empty(0, dtype=np.int64), literal_vector(bits(True)), 1e12, np.random.default_rng(0))
+        assert bank.state[0].tolist() == [2 * n, 1]
 
 
 class TestPackBits:
