@@ -41,6 +41,14 @@ class TestTfidfScores:
         assert table.score(Label.NOVEL, "a") == 0.0
         assert table.score(Label.KNOWN, "b") == 0.0
 
+    def test_single_document_hand_value(self):
+        # One doc ["a","b"] per class: tf = 1/2, idf = log2(2/3) for both words.
+        docs = [(Label.KNOWN, ["a", "b"]), (Label.NOVEL, ["a", "b"])]
+        table = tfidf_scores(corpus_stats(docs))
+        for label in (Label.KNOWN, Label.NOVEL):
+            assert table.score(label, "a") == pytest.approx(0.5 * math.log2(2 / 3))
+            assert table.score(label, "b") == pytest.approx(0.5 * math.log2(2 / 3))
+
     def test_empty_class_rejected(self):
         stats = corpus_stats([(Label.KNOWN, ["a"])])
         with pytest.raises(ValueError, match="empty class"):

@@ -99,12 +99,15 @@ class TestBuildWordBags:
 
     @given(clause_lists, st.integers(0, 12), st.integers(0, 12))
     @settings(max_examples=60, deadline=None)
-    def test_partial_bags_add_up_to_whole(self, clauses, cut1, cut2):
+    def test_partial_bag_merge_is_associative(self, clauses, cut1, cut2):
+        # Bags built from parts of a clause list, added in either order, give
+        # the bags of the whole list.
         lo, hi = sorted((min(cut1, len(clauses)), min(cut2, len(clauses))))
         parts = [build_word_bags(chunk) for chunk in (clauses[:lo], clauses[lo:hi], clauses[hi:])]
         whole = build_word_bags(clauses)
-        assert sum((Counter(p.known) for p in parts), Counter()) == whole.known
-        assert sum((Counter(p.novel) for p in parts), Counter()) == whole.novel
+        for side in ("known", "novel"):
+            a, b, c = (Counter(getattr(p, side)) for p in parts)
+            assert (a + b) + c == a + (b + c) == getattr(whole, side)
 
     @given(clause_lists)
     @settings(max_examples=60, deadline=None)
