@@ -38,13 +38,21 @@ class MissingInputError(Exception):
 
 @contextmanager
 def _output_lock(outdir: Path):
-    """One pipeline process per output directory."""
+    """One pipeline process per output directory.
+
+    A lock whose recorded PID names no live process was left by a crashed
+    stage; it is removed and taken.  Any other existing lock blocks.
+    """
     outdir.mkdir(parents=True, exist_ok=True)
     lock = outdir / ".lock"
-    try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise ValidationError(f"output directory is locked (remove {lock} if stale)") from None
+    for attempt in range(2):
+        try:
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            break
+        except FileExistsError:
+            if attempt or not _lock_is_stale(lock):
+                raise ValidationError(f"output directory is locked (remove {lock} if stale)") from None
+            lock.unlink(missing_ok=True)
     try:
         os.write(fd, str(os.getpid()).encode())
         os.close(fd)
@@ -54,6 +62,19 @@ def _output_lock(outdir: Path):
             os.unlink(lock)
         except OSError:
             pass
+
+
+def _lock_is_stale(lock: Path) -> bool:
+    """True when the lock holds a decimal PID that no live process has."""
+    try:
+        text = lock.read_text("ascii").strip()
+        if text.isdecimal():
+            os.kill(int(text), 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, OverflowError, UnicodeDecodeError):
+        pass
+    return False
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:

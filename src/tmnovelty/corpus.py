@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -269,14 +269,10 @@ def read_csv_corpus(path: str | Path) -> list[RawDoc]:
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"corpus CSV not found: {p}")
-    docs: list[RawDoc] = []
-    with p.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        required = {"doc_id", "label", "text"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise ValueError(f"corpus CSV must have columns {sorted(required)}")
-        for row in reader:
-            docs.append((row["doc_id"], Label.parse(row["label"]), row["text"]))
+    docs = [
+        (row["doc_id"], Label.parse(row["label"]), row["text"])
+        for row in _csv_rows(p, ("doc_id", "label", "text"))
+    ]
     if not docs:
         raise ValueError("empty corpus")
     return docs
@@ -308,14 +304,13 @@ def write_booldocs(docs: Iterable[BoolDoc], path: str | Path) -> None:
 def read_booldocs(path: str | Path, vocab_size: int) -> list[BoolDoc]:
     """Read bit vectors back; every set bit must be an integer in [0, vocab_size)."""
     docs: list[BoolDoc] = []
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            fields = row["set_bits"].split(";") if row["set_bits"] else []
-            if not all(f.isdecimal() and int(f) < vocab_size for f in fields):
-                raise ValueError(f"document {row['doc_id']!r}: set_bits must be integers in [0, {vocab_size})")
-            bits = np.zeros(vocab_size, dtype=bool)
-            bits[[int(f) for f in fields]] = True
-            docs.append(BoolDoc(row["doc_id"], Label.parse(row["label"]), bits))
+    for row in _csv_rows(path, ("doc_id", "label", "set_bits")):
+        fields = row["set_bits"].split(";") if row["set_bits"] else []
+        if not all(f.isdecimal() and int(f) < vocab_size for f in fields):
+            raise ValueError(f"document {row['doc_id']!r}: set_bits must be integers in [0, {vocab_size})")
+        bits = np.zeros(vocab_size, dtype=bool)
+        bits[[int(f) for f in fields]] = True
+        docs.append(BoolDoc(row["doc_id"], Label.parse(row["label"]), bits))
     return docs
 
 
@@ -327,11 +322,24 @@ def write_tokens(docs: Iterable[tuple[str, Label, Sequence[str]]], path: str | P
 
 
 def read_tokens(path: str | Path) -> list[tuple[str, Label, list[str]]]:
-    docs: list[tuple[str, Label, list[str]]] = []
+    return [
+        (row["doc_id"], Label.parse(row["label"]), row["tokens"].split())
+        for row in _csv_rows(path, ("doc_id", "label", "tokens"))
+    ]
+
+
+def _csv_rows(path: str | Path, columns: Sequence[str]) -> Iterator[dict[str, str]]:
+    """Rows of a CSV file whose header names every given column; each row must fill them."""
+    name = Path(path).name
     with Path(path).open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            docs.append((row["doc_id"], Label.parse(row["label"]), row["tokens"].split()))
-    return docs
+        reader = csv.DictReader(fh)
+        missing = [c for c in columns if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{name}: header lacks column(s) {', '.join(missing)}")
+        for row in reader:
+            if any(row[c] is None for c in columns):
+                raise ValueError(f"{name} line {reader.line_num}: too few fields")
+            yield row
 
 
 def _csv_quote(value: str) -> str:

@@ -19,6 +19,11 @@ document, the labeled class receives Type I on its for-votes and Type II on
 its firing against-votes, each clause independently with probability
 (T - clamp(sum))/(2T); the opposite class receives the mirrored treatment
 with probability (T + clamp(sum))/(2T).
+
+The read side works a bank at a time in bulk: ``TMModel.load`` reads each
+bank's states from the file straight into the bank's array, and
+``extract_clauses`` turns a bank's include actions into word sets with one
+pass over its included literals.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import os
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -41,6 +48,8 @@ _MODEL_VERSION = 1
 _CLASS_ORDER = (Label.KNOWN, Label.NOVEL)  # bank order in the model file
 _PARAM_TYPES = {"clause_count": int, "vote_margin": int, "sensitivity": (int, float), "state_count": int, "seed": int}
 
+# Longest header line a model file may have.
+_MAX_HEADER_BYTES = 1 << 16
 # Upper bound on the temporaries of one evaluation or feedback block.
 _BLOCK_BYTES = 1 << 23
 # Largest n whose states [1, 2n] plus one Type I step still fit in int16.
@@ -259,32 +268,44 @@ class TMModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "TMModel":
-        """Read a model file; any malformed header, size or state raises ValueError."""
-        raw = Path(path).read_bytes()
-        newline = raw.find(b"\n")
-        try:
-            header = json.loads(raw[:newline]) if newline >= 0 else None
-        except ValueError:
-            header = None
-        if not isinstance(header, dict) or header.get("format") != _MODEL_FORMAT:
-            raise ValueError(f"not a model file: {path}")
-        if header.get("version") != _MODEL_VERSION:
-            raise ValueError(f"unsupported model version {header.get('version')!r}")
-        params = TMParams(**{k: _header_field(header.get("params"), k, kind, path) for k, kind in _PARAM_TYPES.items()})
-        feature_count = _header_field(header, "feature_count", int, path)
-        vocab_hash = _header_field(header, "vocab_hash", str, path)
-        if header.get("state_dtype") != "<i2" or header.get("class_order") != [l.value for l in _CLASS_ORDER]:
-            raise ValueError(f"unsupported state layout in model file: {path}")
-        shape = (len(_CLASS_ORDER), params.clause_count, 2 * feature_count)
-        if len(raw) - newline - 1 != 2 * math.prod(shape):
-            raise ValueError(f"model file is truncated or has trailing bytes: {path}")
-        body = np.frombuffer(raw, dtype="<i2", offset=newline + 1).reshape(shape)
-        model = cls.create(params, feature_count, vocab_hash=vocab_hash)
-        high = 2 * params.state_count
-        for k, label in enumerate(_CLASS_ORDER):
-            if body[k].min() < 1 or body[k].max() > high:
-                raise ValueError(f"{label.value} clause states outside [1, {high}] in model file: {path}")
-            model.banks[label].state = body[k].astype(np.int16)
+        """Read a model file; any malformed header, size or state raises ValueError.
+
+        The header line is checked first and the body size against it, then
+        each bank's states are read straight into the arrays ``create``
+        allocated, with no staging copy.
+        """
+        with open(path, "rb") as fh:
+            head = fh.readline(_MAX_HEADER_BYTES)
+            try:
+                header = json.loads(head) if head.endswith(b"\n") else None
+            except ValueError:
+                header = None
+            if not isinstance(header, dict) or header.get("format") != _MODEL_FORMAT:
+                raise ValueError(f"not a model file: {path}")
+            if header.get("version") != _MODEL_VERSION:
+                raise ValueError(f"unsupported model version {header.get('version')!r}")
+            params = TMParams(
+                **{k: _header_field(header.get("params"), k, kind, path) for k, kind in _PARAM_TYPES.items()}
+            )
+            feature_count = _header_field(header, "feature_count", int, path)
+            vocab_hash = _header_field(header, "vocab_hash", str, path)
+            if header.get("state_dtype") != "<i2" or header.get("class_order") != [l.value for l in _CLASS_ORDER]:
+                raise ValueError(f"unsupported state layout in model file: {path}")
+            if feature_count < 1:
+                raise ValueError(f"model header key 'feature_count' must be >= 1: {path}")
+            body_bytes = 2 * len(_CLASS_ORDER) * params.clause_count * 2 * feature_count
+            if os.fstat(fh.fileno()).st_size - len(head) != body_bytes:
+                raise ValueError(f"model file is truncated or has trailing bytes: {path}")
+            model = cls.create(params, feature_count, vocab_hash=vocab_hash)
+            high = 2 * params.state_count
+            for label in _CLASS_ORDER:
+                state = model.banks[label].state
+                if fh.readinto(state) != state.nbytes:  # a buffered read fills the array unless at EOF
+                    raise ValueError(f"model file ended before its states did: {path}")
+                if sys.byteorder == "big":
+                    state.byteswap(inplace=True)
+                if state.min() < 1 or state.max() > high:
+                    raise ValueError(f"{label.value} clause states outside [1, {high}] in model file: {path}")
         return model
 
 
@@ -391,27 +412,34 @@ def extract_clauses(model: TMModel, vocab: Vocabulary) -> list[ExtractedClause]:
 
     Clauses with no included literal are omitted.  A word may appear on both
     sides of one clause if training included both the feature and its
-    negation; that is surfaced as-is.
+    negation; that is surfaced as-is.  Each bank is read in one pass: the
+    flat positions of its included literals, split per clause at row * 2V
+    and row * 2V + V, with position mod V giving the word.
     """
     if len(vocab) != model.feature_count:
         raise ValueError("vocabulary size != model feature count")
     out: list[ExtractedClause] = []
-    half = model.params.clause_count // 2
+    clauses = model.params.clause_count
+    half = clauses // 2
     o = model.feature_count
-    for label in (Label.KNOWN, Label.NOVEL):
-        include = model.banks[label].include_mask()
-        for j in range(model.params.clause_count):
-            plain_idx = np.flatnonzero(include[j, :o])
-            negated_idx = np.flatnonzero(include[j, o:])
-            if plain_idx.size == 0 and negated_idx.size == 0:
+    words = np.array(vocab.words, dtype=object)
+    marks = np.append((np.arange(clauses)[:, None] * (2 * o) + (0, o)).ravel(), clauses * 2 * o)
+    for label in _CLASS_ORDER:
+        bank = model.banks[label]
+        included = np.flatnonzero(bank.include_mask())
+        cuts = np.searchsorted(included, marks).tolist()
+        names = words[included % o].tolist()
+        for j in range(clauses):
+            start, middle, end = cuts[2 * j], cuts[2 * j + 1], cuts[2 * j + 2]
+            if start == end:
                 continue
             out.append(
                 ExtractedClause(
                     label=label,
                     polarity=Polarity.POSITIVE if j < half else Polarity.NEGATIVE,
                     index=j,
-                    plain_words=frozenset(vocab.words[i] for i in plain_idx),
-                    negated_words=frozenset(vocab.words[i] for i in negated_idx),
+                    plain_words=frozenset(names[start:middle]),
+                    negated_words=frozenset(names[middle:end]),
                 )
             )
     return out

@@ -1,5 +1,6 @@
-"""Shared fixtures: the sports case-study clauses, a hand-set model, and
-single-clause forms of the clause bank's evaluation and feedback."""
+"""Shared fixtures: the sports case-study clauses, a hand-set model,
+single-clause forms of the clause bank's evaluation and feedback, and a
+per-row clause extraction oracle."""
 
 from __future__ import annotations
 
@@ -73,6 +74,32 @@ def set_clause(bank: ClauseBank, index: int, plain: Sequence[int] = (), negated:
     row[list(plain)] = 2 * bank.state_count
     row[[bank.feature_count + f for f in negated]] = 2 * bank.state_count
     bank._write_rows(np.array([index]), row[None, :])
+
+
+def extract_clauses_by_row(model: TMModel, vocab: Vocabulary) -> list[ExtractedClause]:
+    """Per-row reading of every bank's include actions: the oracle for ``extract_clauses``."""
+    if len(vocab) != model.feature_count:
+        raise ValueError("vocabulary size != model feature count")
+    out: list[ExtractedClause] = []
+    half = model.params.clause_count // 2
+    o = model.feature_count
+    for label in (Label.KNOWN, Label.NOVEL):
+        include = model.banks[label].include_mask()
+        for j in range(model.params.clause_count):
+            plain_idx = np.flatnonzero(include[j, :o])
+            negated_idx = np.flatnonzero(include[j, o:])
+            if plain_idx.size == 0 and negated_idx.size == 0:
+                continue
+            out.append(
+                ExtractedClause(
+                    label=label,
+                    polarity=Polarity.POSITIVE if j < half else Polarity.NEGATIVE,
+                    index=j,
+                    plain_words=frozenset(vocab.words[i] for i in plain_idx),
+                    negated_words=frozenset(vocab.words[i] for i in negated_idx),
+                )
+            )
+    return out
 
 
 def clause_eval(bank: ClauseBank, index: int, bits: np.ndarray, mode: EvalMode) -> bool:

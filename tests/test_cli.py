@@ -1,15 +1,18 @@
 """End-to-end pipeline, exit codes, idempotence, and config round-trips."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from tmnovelty.cli import EXIT_MISSING, EXIT_OK, EXIT_VALIDATION, main
 from tmnovelty.config import RunConfig, parse_config, serialize_config
-from tmnovelty.corpus import read_vocabulary, write_vocabulary
+from tmnovelty.corpus import Label, Vocabulary, read_vocabulary, write_tokens, write_vocabulary
 
-from helpers import case_study_model, case_study_vocab
+from helpers import CASE_STUDY_WORDS, case_study_model, case_study_vocab
 
 
 @pytest.fixture()
@@ -228,6 +231,9 @@ MODEL_CORRUPTIONS = {
     "trailing-bytes": lambda h, body: (h, body + b"\x00\x00"),
     "state-999": lambda h, body: (h, np.array([999], dtype="<i2").tobytes() + body[2:]),
     "state-0": lambda h, body: (h, body[:-2] + b"\x00\x00"),
+    "zero-feature-count": lambda h, body: ({**h, "feature_count": 0}, b""),
+    "header-only": lambda h, body: (h, b""),
+    "half-body": lambda h, body: (h, body[: len(body) // 2]),
 }
 
 
@@ -244,6 +250,71 @@ def test_describe_rejects_corrupt_model(tmp_path, capsys, corrupt):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("keep_header", [False, True], ids=["empty", "no-newline"])
+def test_describe_rejects_model_without_header_line(tmp_path, capsys, keep_header):
+    out = tmp_path / "out"
+    write_vocabulary(case_study_vocab(), out / "vocabulary.txt")
+    case_study_model().save(out / "model.tm")
+    raw = (out / "model.tm").read_bytes()
+    (out / "model.tm").write_bytes(raw[: raw.index(b"\n")] if keep_header else b"")
+    assert main(["describe", "--out", str(out)]) == EXIT_VALIDATION
+    assert "not a model file" in one_line_error(capsys)
+
+
+def _unhashed_model_with_vocabulary(out, words):
+    """A case-study model.tm with an empty vocab_hash next to the given vocabulary."""
+    model = case_study_model()
+    model.vocab_hash = ""
+    model.save(out / "model.tm")
+    write_vocabulary(Vocabulary(tuple(words)), out / "vocabulary.txt")
+    token_docs = [("k0", Label.KNOWN, ["cricket", "six"]), ("n0", Label.NOVEL, ["rugby", "old"])]
+    write_tokens(token_docs, out / "tokens.csv")
+
+
+@pytest.mark.parametrize("words", [CASE_STUDY_WORDS[:-1], (*CASE_STUDY_WORDS, "zebra")], ids=["fewer", "more"])
+@pytest.mark.parametrize(
+    "stage", [["describe"], ["context", "--words", "rugby,cricket"], ["eval"]], ids=["describe", "context", "eval"]
+)
+def test_feature_count_is_checked_without_vocab_hash(tmp_path, capsys, words, stage):
+    out = tmp_path / "out"
+    out.mkdir()
+    _unhashed_model_with_vocabulary(out, words)
+    assert main([*stage, "--out", str(out)]) == EXIT_VALIDATION
+    assert "vocabulary size != model feature count" in one_line_error(capsys)
+
+
+def _drop_column(text, column):
+    rows = [line.split(",") for line in text.splitlines()]
+    keep = [k for k, name in enumerate(rows[0]) if name != column]
+    return "".join(",".join(row[k] for k in keep) + "\n" for row in rows)
+
+
+# (stage, file, edit): each edit breaks the shape of one ingested CSV file.
+CSV_DAMAGE = {
+    "train-no-set_bits": ("train", "booldocs.csv", lambda t: t.replace("set_bits", "bits", 1)),
+    "train-no-label": ("train", "booldocs.csv", lambda t: _drop_column(t, "label")),
+    "train-no-header": ("train", "booldocs.csv", lambda t: ""),
+    "train-short-row": ("train", "booldocs.csv", lambda t: t + "lonely\n"),
+    "tfidf-no-tokens": ("tfidf", "tokens.csv", lambda t: _drop_column(t, "tokens")),
+    "tfidf-no-doc_id": ("tfidf", "tokens.csv", lambda t: t.replace("doc_id", "id", 1)),
+    "tfidf-short-row": ("tfidf", "tokens.csv", lambda t: t + "lonely,known\n"),
+    "eval-no-tokens": ("eval", "tokens.csv", lambda t: t.replace("tokens", "words", 1)),
+}
+
+
+@pytest.mark.parametrize("stage,name,edit", CSV_DAMAGE.values(), ids=CSV_DAMAGE.keys())
+def test_stage_rejects_damaged_csv(tmp_path, corpus_dirs, capsys, stage, name, edit):
+    base = small_run(tmp_path, corpus_dirs)
+    out = tmp_path / "out"
+    assert main(["ingest", *base]) == EXIT_OK
+    if stage == "eval":
+        assert main(["train", *base]) == EXIT_OK
+    capsys.readouterr()
+    (out / name).write_text(edit((out / name).read_text("utf-8")), "utf-8")
+    assert main([stage, *base]) == EXIT_VALIDATION
+    assert name in one_line_error(capsys)
 
 
 class TestCaseStudyGolden:
@@ -311,6 +382,28 @@ class TestConfigRoundTrip:
         known, novel = corpus_dirs
         out = tmp_path / "out"
         out.mkdir()
-        (out / ".lock").write_text("12345", "utf-8")
+        (out / ".lock").write_text(str(os.getpid()), "utf-8")  # a live process holds it
         code = main(["ingest", "--known-dir", str(known), "--novel-dir", str(novel), "--out", str(out)])
         assert code == EXIT_VALIDATION
+
+    def test_unparsable_lock_blocks(self, tmp_path, corpus_dirs, capsys):
+        known, novel = corpus_dirs
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / ".lock").write_text("not-a-pid", "utf-8")
+        code = main(["ingest", "--known-dir", str(known), "--novel-dir", str(novel), "--out", str(out)])
+        assert code == EXIT_VALIDATION
+        assert "locked" in one_line_error(capsys)
+        assert (out / ".lock").read_text("utf-8") == "not-a-pid"
+
+    def test_lock_of_exited_process_is_taken(self, tmp_path, corpus_dirs):
+        known, novel = corpus_dirs
+        out = tmp_path / "out"
+        out.mkdir()
+        child = subprocess.Popen([sys.executable, "-c", "pass"])
+        child.wait()  # reaped: its PID names no live process
+        (out / ".lock").write_text(str(child.pid), "utf-8")
+        code = main(["ingest", "--known-dir", str(known), "--novel-dir", str(novel), "--out", str(out)])
+        assert code == EXIT_OK
+        assert (out / "vocabulary.txt").is_file()
+        assert not (out / ".lock").exists()

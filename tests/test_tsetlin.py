@@ -1,10 +1,12 @@
 """Clause evaluation, feedback rules, training, extraction, and persistence."""
 
+import os
+
 import numpy as np
 import pytest
 
 from tmnovelty import tsetlin
-from tmnovelty.corpus import BoolDoc, Label
+from tmnovelty.corpus import BoolDoc, Label, Vocabulary
 from tmnovelty.tsetlin import (
     ClauseBank,
     EvalMode,
@@ -25,6 +27,7 @@ from helpers import (
     case_study_vocab,
     class_sum,
     clause_eval,
+    extract_clauses_by_row,
     set_clause,
     type_i_feedback,
     type_ii_feedback,
@@ -446,6 +449,29 @@ class TestExtractClauses:
         assert len(lines) == 9
 
 
+    @pytest.mark.parametrize("feature_count", [1, 2, 31, 32, 63, 64, 65, 127, 128, 129, 130])
+    def test_bulk_read_matches_per_row_oracle_on_random_banks(self, feature_count):
+        rng = np.random.default_rng(feature_count)
+        vocab = Vocabulary(tuple(f"w{i:03d}" for i in range(feature_count)))
+        for trial in range(6):
+            clause_count = 2 * int(rng.integers(1, 21))
+            model = TMModel.create(small_params(clause_count=clause_count), feature_count)
+            density = (0.0, 0.01, 0.05, 0.3, 0.9, 1.0)[trial]
+            for bank in model.banks.values():
+                include = rng.random(bank.state.shape) < density
+                include[rng.random(clause_count) < 0.3] = False  # empty clauses
+                word = int(rng.integers(feature_count))
+                include[0, [word, feature_count + word]] = True  # one word on both sides
+                shape = bank.state.shape
+                bank.state[...] = np.where(include, rng.integers(9, 17, shape), rng.integers(1, 9, shape))
+            assert extract_clauses(model, vocab) == extract_clauses_by_row(model, vocab)
+
+    def test_vocabulary_size_mismatch_raises(self):
+        model = TMModel.create(small_params(), 3)
+        with pytest.raises(ValueError, match="feature count"):
+            extract_clauses(model, case_study_vocab())
+
+
 def _vocab3():
     from tmnovelty.corpus import Vocabulary
 
@@ -471,6 +497,39 @@ class TestModelPersistence:
         model.save(tmp_path / "a.tm")
         model.save(tmp_path / "b.tm")
         assert (tmp_path / "a.tm").read_bytes() == (tmp_path / "b.tm").read_bytes()
+
+    def test_loaded_states_are_writable_int16_and_keep_training(self, tmp_path):
+        rng = np.random.default_rng(5)
+        docs = [BoolDoc(f"d{i}", (Label.KNOWN, Label.NOVEL)[i % 2], rng.random(70) < 0.3) for i in range(20)]
+        model = TMModel.create(small_params(clause_count=12, seed=4), 70)
+        fit(model, docs, epochs=2)
+        model.save(tmp_path / "model.tm")
+        loaded = TMModel.load(tmp_path / "model.tm")
+        for label in (Label.KNOWN, Label.NOVEL):
+            state = loaded.banks[label].state
+            assert state.dtype == np.int16 and state.flags.writeable and state.flags.c_contiguous
+            assert np.array_equal(state, model.banks[label].state)
+        # Training goes on from the file exactly as from the machine in memory.
+        fit(model, docs, epochs=2)
+        fit(loaded, docs, epochs=2)
+        for label in (Label.KNOWN, Label.NOVEL):
+            assert np.array_equal(loaded.banks[label].state, model.banks[label].state)
+
+    def test_short_read_raises(self, tmp_path, monkeypatch):
+        # The file shrinks between the size check and the read.
+        path = tmp_path / "model.tm"
+        case_study_model().save(path)
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-10])
+        real_fstat = os.fstat
+
+        def stale_fstat(fd):
+            fields = real_fstat(fd)
+            return os.stat_result((*fields[:6], size, *fields[7:]))
+
+        monkeypatch.setattr(tsetlin.os, "fstat", stale_fstat)
+        with pytest.raises(ValueError, match="ended before"):
+            TMModel.load(path)
 
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.tm"
