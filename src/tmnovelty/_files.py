@@ -23,5 +23,13 @@ def atomic_write_bytes(path: str | Path, data: bytes | memoryview) -> None:
         raise
 
 
+def read_utf8(path: str | Path) -> str:
+    """A text file's contents; bytes that are not UTF-8 raise ValueError naming the file."""
+    try:
+        return Path(path).read_text("utf-8")
+    except UnicodeDecodeError:
+        raise ValueError(f"{path}: not UTF-8 text") from None
+
+
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))

@@ -17,8 +17,8 @@ from pathlib import Path
 
 from . import baseline, evaluation, novelty, tsetlin
 from . import corpus as corpus_mod
-from ._files import atomic_write_text
-from .config import PROFILES, RunConfig, load_config, save_config
+from ._files import atomic_write_text, read_utf8
+from .config import PROFILES, RunConfig, parse_config, save_config
 from .corpus import Label
 
 OUTPUT_DIR_ENV = "TMNOVELTY_OUT"
@@ -83,9 +83,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         path = Path(args.config)
         if not path.is_file():
             raise MissingInputError(f"config file not found: {path}")
-        file_text = path.read_text("utf-8")
+        file_text = read_utf8(path)
         try:
-            config = load_config(path)
+            config = parse_config(file_text)
         except ValueError as err:
             raise ValidationError(f"malformed config: {err}") from None
     else:
@@ -212,6 +212,8 @@ def cmd_describe(config: RunConfig) -> None:
 
 
 def cmd_context(config: RunConfig, words: list[str], target_class: Label) -> None:
+    if not words:
+        raise ValidationError("--words names no word")
     outdir = _outdir(config)
     vocab = _read_vocab(outdir)
     model = _read_model(outdir, vocab)

@@ -122,9 +122,5 @@ def serialize_config(config: RunConfig) -> str:
     return "".join(lines)
 
 
-def load_config(path: str | Path) -> RunConfig:
-    return parse_config(Path(path).read_text("utf-8"))
-
-
 def save_config(config: RunConfig, path: str | Path) -> None:
     atomic_write_text(path, serialize_config(config))

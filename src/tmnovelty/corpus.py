@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._files import atomic_write_text
+from ._files import atomic_write_text, read_utf8
 
 _TOKEN_RE = re.compile(r"[a-z]+")
 
@@ -100,7 +100,7 @@ def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
     if path is None:
         text = resources.files("tmnovelty.data").joinpath("stopwords.txt").read_text("utf-8")
     else:
-        text = Path(path).read_text("utf-8")
+        text = read_utf8(path)
     return frozenset(w for w in (line.strip() for line in text.splitlines()) if w)
 
 
@@ -289,7 +289,7 @@ def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def read_vocabulary(path: str | Path) -> Vocabulary:
-    lines = Path(path).read_text("utf-8").splitlines()
+    lines = read_utf8(path).splitlines()
     return Vocabulary(tuple(w for w in lines if w))
 
 
@@ -333,13 +333,16 @@ def _csv_rows(path: str | Path, columns: Sequence[str]) -> Iterator[dict[str, st
     name = Path(path).name
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
-        missing = [c for c in columns if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{name}: header lacks column(s) {', '.join(missing)}")
-        for row in reader:
-            if any(row[c] is None for c in columns):
-                raise ValueError(f"{name} line {reader.line_num}: too few fields")
-            yield row
+        try:
+            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            if missing:
+                raise ValueError(f"{name}: header lacks column(s) {', '.join(missing)}")
+            for row in reader:
+                if any(row[c] is None for c in columns):
+                    raise ValueError(f"{name} line {reader.line_num}: too few fields")
+                yield row
+        except UnicodeDecodeError:
+            raise ValueError(f"{name}: not UTF-8 text") from None
 
 
 def _csv_quote(value: str) -> str:

@@ -20,10 +20,21 @@ its firing against-votes, each clause independently with probability
 (T - clamp(sum))/(2T); the opposite class receives the mirrored treatment
 with probability (T + clamp(sum))/(2T).
 
-The read side works a bank at a time in bulk: ``TMModel.load`` reads each
-bank's states from the file straight into the bank's array, and
-``extract_clauses`` turns a bank's include actions into word sets with one
-pass over its included literals.
+Each bank's document step has a draw phase and an apply phase.  The draw
+phase (evaluation, the clamp, the clause selection and the 1/s positions)
+runs on the calling thread in one fixed order, so one generator serves the
+whole fit.  The apply phase (``type_i`` and ``type_ii`` on the drawn rows)
+writes only that bank's states, so when a bank's states exceed
+``_THREAD_BYTES`` it runs on a worker thread while the other bank draws; a
+bank's next draw waits for its own pending apply, and the epoch-end
+accuracy pass waits for both.  Either way the states are the same bytes.
+
+``TMModel.create`` allocates the model file's image, a header slot followed
+by both banks' states, and the banks' states are views into it: ``save``
+writes the header into the slot and the image straight to disk, and
+``load`` reads the file straight into it.  ``extract_clauses`` turns a
+bank's include actions into word sets with one pass over its included
+literals.
 """
 
 from __future__ import annotations
@@ -32,7 +43,8 @@ import dataclasses
 import json
 import math
 import os
-import sys
+from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -52,6 +64,9 @@ _PARAM_TYPES = {"clause_count": int, "vote_margin": int, "sensitivity": (int, fl
 _MAX_HEADER_BYTES = 1 << 16
 # Upper bound on the temporaries of one evaluation or feedback block.
 _BLOCK_BYTES = 1 << 23
+# Banks whose states take more bytes than this apply feedback on worker
+# threads; below it, thread hand-offs cost more than they save (see README).
+_THREAD_BYTES = 16 << 20
 # Largest n whose states [1, 2n] plus one Type I step still fit in int16.
 _MAX_STATE_COUNT = (np.iinfo(np.int16).max - 1) // 2
 
@@ -110,8 +125,10 @@ def _bernoulli_positions(size: int, p: float, rng: np.random.Generator) -> np.nd
     The gaps between successive positions are geometric(p), drawn as
     floor(E / -log(1 - p)) + 1 from standard exponentials E, in blocks a few
     deviations above the expected count.  Positions are summed in float64,
-    exact for every position below 2**53.
+    exact for every position below 2**53.  An empty range draws nothing.
     """
+    if size <= 0:
+        return np.empty(0, dtype=np.int64)
     rate = -math.log1p(-p)
     positions = np.full(1, -1.0)
     while positions[-1] < size:
@@ -124,13 +141,17 @@ def _bernoulli_positions(size: int, p: float, rng: np.random.Generator) -> np.nd
 class ClauseBank:
     """TA states for one class's clause pool; first half positive polarity.
 
-    ``state`` is a (clauses, literals) int16 array.  It may be replaced or
-    written in place until the first evaluation builds the packed include
-    view; after that, rows change only through the feedback methods (or
-    ``_write_rows``), which keep the view in step.
+    ``state`` is a (clauses, literals) int16 array: allocated here, or the
+    given ``out`` (``TMModel.create`` passes views into the model's file
+    image).  It may be replaced or written in place until the first
+    evaluation builds the packed include view; after that, rows change only
+    through the feedback methods (or ``_write_rows``), which keep the view in
+    step.
     """
 
-    def __init__(self, clause_count: int, feature_count: int, state_count: int) -> None:
+    def __init__(
+        self, clause_count: int, feature_count: int, state_count: int, out: np.ndarray | None = None
+    ) -> None:
         if clause_count % 2 != 0:
             raise ValueError("clause_count must be even")
         self.clause_count = clause_count
@@ -138,7 +159,8 @@ class ClauseBank:
         self.literal_count = 2 * feature_count
         self.state_count = state_count
         # Exclude side, one step from include: the common starting point.
-        self.state = np.full((clause_count, self.literal_count), state_count, dtype=np.int16)
+        self.state = np.empty((clause_count, self.literal_count), dtype=np.int16) if out is None else out
+        self.state[...] = state_count
         self.positive_mask = np.zeros(clause_count, dtype=bool)
         self.positive_mask[: clause_count // 2] = True
         self._block_rows = max(1, _BLOCK_BYTES // max(1, self.state.itemsize * self.literal_count))
@@ -196,22 +218,22 @@ class ClauseBank:
         fired_rows: np.ndarray,
         silent_rows: np.ndarray,
         literals: np.ndarray,
-        sensitivity: float,
-        rng: np.random.Generator,
+        forget: np.ndarray,
     ) -> None:
         """Apply Type I feedback to the given clause rows (fired and silent).
 
         Firing rows gain one step on every true literal; then each (row,
-        literal) of both sets loses one step with probability 1/s; then states
-        are clipped to [1, 2n].  A true literal of a firing row thus rises with
-        probability (s-1)/s, a false one falls with 1/s, and every literal of a
-        silent row falls with 1/s.
+        literal) listed in ``forget`` loses one step; then states are clipped
+        to [1, 2n].  ``forget`` holds sorted flat positions into the (rows,
+        literals) block of the fired rows followed by the silent rows, each
+        present with probability 1/s (``_bernoulli_positions``).  A true
+        literal of a firing row thus rises with probability (s-1)/s, a false
+        one falls with 1/s, and every literal of a silent row falls with 1/s.
         """
         rows = np.concatenate([fired_rows, silent_rows])
         if not rows.size:
             return
         width = self.literal_count
-        forget = _bernoulli_positions(rows.size * width, 1.0 / sensitivity, rng)
         for start in range(0, rows.size, self._block_rows):
             part = rows[start : start + self._block_rows]
             block = self.state[part]
@@ -239,15 +261,30 @@ class TMModel:
     feature_count: int
     banks: dict[Label, ClauseBank]
     vocab_hash: str = ""
+    _image: np.ndarray | None = dataclasses.field(default=None, repr=False, compare=False)
 
     @classmethod
     def create(cls, params: TMParams, feature_count: int, vocab_hash: str = "") -> "TMModel":
+        """A fresh model whose banks' states are views into one file image.
+
+        The image is laid out like the model file: a ``_MAX_HEADER_BYTES``
+        header slot, then every bank's ``<i2`` states in file order, so
+        ``save`` writes it without a staging copy and ``load`` reads into it.
+        """
+        image = _file_image(params.clause_count, feature_count)
+        states = _file_image_states(image, params.clause_count, feature_count)
         banks = {
-            label: ClauseBank(params.clause_count, feature_count, params.state_count) for label in _CLASS_ORDER
+            label: ClauseBank(params.clause_count, feature_count, params.state_count, out=states[k])
+            for k, label in enumerate(_CLASS_ORDER)
         }
-        return cls(params=params, feature_count=feature_count, banks=banks, vocab_hash=vocab_hash)
+        return cls(params=params, feature_count=feature_count, banks=banks, vocab_hash=vocab_hash, _image=image)
 
     def save(self, path: str | Path) -> None:
+        """Write the model file from the file image.
+
+        The header goes right-aligned into the slot in front of the states;
+        a bank whose ``state`` was replaced is first copied into its place.
+        """
         header = {
             "format": _MODEL_FORMAT,
             "version": _MODEL_VERSION,
@@ -258,21 +295,26 @@ class TMModel:
             "class_order": [label.value for label in _CLASS_ORDER],
         }
         head = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
-        shape = (len(_CLASS_ORDER), self.params.clause_count, 2 * self.feature_count)
-        blob = np.empty(len(head) + 2 * math.prod(shape), dtype=np.uint8)
-        blob[: len(head)] = np.frombuffer(head, dtype=np.uint8)
-        body = blob[len(head) :].view("<i2").reshape(shape)
+        if len(head) > _MAX_HEADER_BYTES:
+            raise ValueError(f"model header is longer than {_MAX_HEADER_BYTES} bytes")
+        sizes = (self.params.clause_count, self.feature_count)
+        image = self._image if self._image is not None else _file_image(*sizes)
+        states = _file_image_states(image, *sizes)
         for k, label in enumerate(_CLASS_ORDER):
-            body[k] = self.banks[label].state
-        atomic_write_bytes(path, memoryview(blob))
+            state = self.banks[label].state
+            if state.__array_interface__ != states[k].__array_interface__:
+                states[k] = state
+        start = _MAX_HEADER_BYTES - len(head)
+        image[start:_MAX_HEADER_BYTES] = np.frombuffer(head, dtype=np.uint8)
+        atomic_write_bytes(path, memoryview(image[start:]))
 
     @classmethod
     def load(cls, path: str | Path) -> "TMModel":
         """Read a model file; any malformed header, size or state raises ValueError.
 
         The header line is checked first and the body size against it, then
-        each bank's states are read straight into the arrays ``create``
-        allocated, with no staging copy.
+        each bank's states are read straight into their place in the file
+        image ``create`` allocated, with no staging copy.
         """
         with open(path, "rb") as fh:
             head = fh.readline(_MAX_HEADER_BYTES)
@@ -302,11 +344,19 @@ class TMModel:
                 state = model.banks[label].state
                 if fh.readinto(state) != state.nbytes:  # a buffered read fills the array unless at EOF
                     raise ValueError(f"model file ended before its states did: {path}")
-                if sys.byteorder == "big":
-                    state.byteswap(inplace=True)
                 if state.min() < 1 or state.max() > high:
                     raise ValueError(f"{label.value} clause states outside [1, {high}] in model file: {path}")
         return model
+
+
+def _file_image(clause_count: int, feature_count: int) -> np.ndarray:
+    """An uninitialised model file image: the header slot, then the states."""
+    return np.empty(_MAX_HEADER_BYTES + 2 * len(_CLASS_ORDER) * clause_count * 2 * feature_count, dtype=np.uint8)
+
+
+def _file_image_states(image: np.ndarray, clause_count: int, feature_count: int) -> np.ndarray:
+    """The (banks, clauses, literals) ``<i2`` states of a file image."""
+    return image[_MAX_HEADER_BYTES:].view("<i2").reshape(len(_CLASS_ORDER), clause_count, 2 * feature_count)
 
 
 def _header_field(mapping: object, key: str, kind: type | tuple[type, ...], path: str | Path) -> object:
@@ -358,42 +408,71 @@ def fit(
     margin = model.params.vote_margin
     s = model.params.sensitivity
 
+    # Large banks apply their feedback on worker threads, one pending apply
+    # per bank; the draws stay on this thread, in the serial order.
+    threaded = max(bank.state.nbytes for bank in order_banks) > _THREAD_BYTES
+    pending: list[Future | None] = [None] * len(order_banks)
     trace: list[float] = []
-    for _ in range(epochs):
-        for d in rng.permutation(len(docs)):
-            target = int(is_novel[d])
-            _feedback_step(order_banks[target], lits_matrix[d], not_packed[d], True, margin, s, rng)
-            _feedback_step(order_banks[1 - target], lits_matrix[d], not_packed[d], False, margin, s, rng)
-        accuracy = float(np.mean(classify_batch(model, bits_matrix) == is_novel))
-        trace.append(accuracy)
-        if early_stop_accuracy is not None and accuracy >= early_stop_accuracy:
-            break
+    workers = ThreadPoolExecutor(len(order_banks), thread_name_prefix="tmnovelty-feedback") if threaded else None
+    with workers or nullcontext() as pool:
+        for _ in range(epochs):
+            for d in rng.permutation(len(docs)):
+                target = int(is_novel[d])
+                for k, toward in ((target, True), (1 - target, False)):
+                    bank = order_banks[k]
+                    _settle(pending[k])
+                    apply = (bank, lits_matrix[d], *_draw_feedback(bank, not_packed[d], toward, margin, s, rng))
+                    pending[k] = pool.submit(_apply_feedback, *apply) if pool else _apply_feedback(*apply)
+            _settle(*pending)
+            accuracy = float(np.mean(classify_batch(model, bits_matrix) == is_novel))
+            trace.append(accuracy)
+            if early_stop_accuracy is not None and accuracy >= early_stop_accuracy:
+                break
     return model, trace
 
 
-def _feedback_step(
+def _settle(*futures: Future | None) -> None:
+    """Wait for pending apply phases; a worker's exception is raised here."""
+    for future in futures:
+        if future is not None:
+            future.result()
+
+
+def _draw_feedback(
     bank: ClauseBank,
-    literals: np.ndarray,
     not_packed: np.ndarray,
     toward: bool,
     margin: int,
     s: float,
     rng: np.random.Generator,
-) -> None:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Draw phase of one bank's document step: evaluate, select, draw the 1/s moves.
+
+    Returns the Type I fired rows, silent rows and forget positions, and the
+    Type II rows.  Every random draw of a step happens here, in a fixed order.
+    """
     fired = bank.fired(not_packed, EvalMode.LEARNING)
     clamped = max(-margin, min(margin, int(bank.vote_sum(fired))))
     selected = rng.random(bank.clause_count) < (margin - (clamped if toward else -clamped)) / (2.0 * margin)
     votes_with = bank.positive_mask if toward else ~bank.positive_mask
     type_i_pool = selected & votes_with
-    type_ii_pool = selected & ~votes_with & fired
-    bank.type_i(
-        np.flatnonzero(type_i_pool & fired),
-        np.flatnonzero(type_i_pool & ~fired),
-        literals,
-        s,
-        rng,
-    )
-    bank.type_ii(np.flatnonzero(type_ii_pool), literals)
+    fired_rows = np.flatnonzero(type_i_pool & fired)
+    silent_rows = np.flatnonzero(type_i_pool & ~fired)
+    forget = _bernoulli_positions((fired_rows.size + silent_rows.size) * bank.literal_count, 1.0 / s, rng)
+    return fired_rows, silent_rows, forget, np.flatnonzero(selected & ~votes_with & fired)
+
+
+def _apply_feedback(
+    bank: ClauseBank,
+    literals: np.ndarray,
+    fired_rows: np.ndarray,
+    silent_rows: np.ndarray,
+    forget: np.ndarray,
+    type_ii_rows: np.ndarray,
+) -> None:
+    """Apply phase of one bank's document step: it writes only this bank's states."""
+    bank.type_i(fired_rows, silent_rows, literals, forget)
+    bank.type_ii(type_ii_rows, literals)
 
 
 @dataclass(frozen=True)

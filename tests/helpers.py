@@ -17,6 +17,7 @@ from tmnovelty.tsetlin import (
     Polarity,
     TMModel,
     TMParams,
+    _bernoulli_positions,
     literal_vector,
     pack_bits,
 )
@@ -113,10 +114,11 @@ def type_i_feedback(bank: ClauseBank, index: int, bits: np.ndarray, sensitivity:
     """Apply Type I feedback to one clause, branching on its learning-mode output."""
     lits = literal_vector(bits)
     row, empty = np.array([index]), np.empty(0, dtype=np.int64)
+    forget = _bernoulli_positions(bank.literal_count, 1.0 / sensitivity, rng)
     if bank.fired(pack_bits(~lits), EvalMode.LEARNING)[index]:
-        bank.type_i(row, empty, lits, sensitivity, rng)
+        bank.type_i(row, empty, lits, forget)
     else:
-        bank.type_i(empty, row, lits, sensitivity, rng)
+        bank.type_i(empty, row, lits, forget)
 
 
 def type_ii_feedback(bank: ClauseBank, index: int, bits: np.ndarray) -> None:

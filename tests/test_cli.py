@@ -317,6 +317,51 @@ def test_stage_rejects_damaged_csv(tmp_path, corpus_dirs, capsys, stage, name, e
     assert name in one_line_error(capsys)
 
 
+@pytest.mark.parametrize("words", [",", ",,", ""])
+def test_context_without_words_is_validation_error(tmp_path, capsys, words):
+    out = tmp_path / "out"
+    write_vocabulary(case_study_vocab(), out / "vocabulary.txt")
+    case_study_model().save(out / "model.tm")
+    assert main(["context", "--words", words, "--out", str(out)]) == EXIT_VALIDATION
+    assert "--words" in one_line_error(capsys)
+    assert not (out / "context_novel.csv").exists()
+
+
+def _insert_non_utf8(path):
+    """Put a byte that no UTF-8 text contains after the file's first line."""
+    raw = path.read_bytes()
+    cut = raw.index(b"\n") + 1 if b"\n" in raw else len(raw)
+    path.write_bytes(raw[:cut] + b"\xff\xfe\n" + raw[cut:])
+
+
+# (stage, the file to damage): the file is read as UTF-8 text by the stage.
+NON_UTF8_INPUTS = {
+    "vocabulary": ("describe", "vocabulary.txt"),
+    "tokens": ("tfidf", "tokens.csv"),
+    "booldocs": ("train", "booldocs.csv"),
+    "stoplist": ("ingest", "stop.txt"),
+    "config": ("ingest", "run.cfg"),
+}
+
+
+@pytest.mark.parametrize("stage,name", NON_UTF8_INPUTS.values(), ids=NON_UTF8_INPUTS.keys())
+def test_non_utf8_input_names_the_file(tmp_path, corpus_dirs, capsys, stage, name):
+    base = small_run(tmp_path, corpus_dirs)
+    out = tmp_path / "out"
+    assert main(["ingest", *base]) == EXIT_OK
+    if stage == "describe":
+        assert main(["train", *base]) == EXIT_OK
+    (tmp_path / "stop.txt").write_text("the\na\n", "utf-8")
+    (tmp_path / "run.cfg").write_text("seed = 1\n", "utf-8")
+    target = (tmp_path if name in ("stop.txt", "run.cfg") else out) / name
+    _insert_non_utf8(target)
+    capsys.readouterr()
+    extra = {"stop.txt": ["--stoplist", str(target)], "run.cfg": ["--config", str(target)]}.get(name, [])
+    assert main([stage, *base, *extra]) == EXIT_VALIDATION
+    err = one_line_error(capsys)
+    assert name in err and "not UTF-8" in err
+
+
 class TestCaseStudyGolden:
     def test_describe_matches_hand_ratio_golden(self, tmp_path):
         from fractions import Fraction

@@ -1,6 +1,8 @@
 """Clause evaluation, feedback rules, training, extraction, and persistence."""
 
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from tmnovelty.tsetlin import (
     Polarity,
     TMModel,
     TMParams,
+    _bernoulli_positions,
     classify,
     classify_batch,
     extract_clauses,
@@ -52,7 +55,8 @@ class TestParams:
         n = small_params(state_count=16_383).state_count
         bank = ClauseBank(2, 1, n)
         bank.state[0] = [2 * n, 1]
-        bank.type_i(np.array([0]), np.empty(0, dtype=np.int64), literal_vector(bits(True)), 1e12, np.random.default_rng(0))
+        forget = _bernoulli_positions(bank.literal_count, 1 / 1e12, np.random.default_rng(0))
+        bank.type_i(np.array([0]), np.empty(0, dtype=np.int64), literal_vector(bits(True)), forget)
         assert bank.state[0].tolist() == [2 * n, 1]
 
 
@@ -154,7 +158,8 @@ class TestClauseEval:
                 fired = bank.fired(pack_bits(~lits), EvalMode.LEARNING)
                 chosen = rng.random(12) < 0.5
                 if rng.random() < 0.5:
-                    bank.type_i(np.flatnonzero(chosen & fired), np.flatnonzero(chosen & ~fired), lits, 2.0, rng)
+                    forget = _bernoulli_positions(int(chosen.sum()) * bank.literal_count, 1 / 2.0, rng)
+                    bank.type_i(np.flatnonzero(chosen & fired), np.flatnonzero(chosen & ~fired), lits, forget)
                 else:
                     bank.type_ii(np.flatnonzero(chosen & fired), lits)
             include = bank.state > bank.state_count
@@ -262,7 +267,8 @@ class TestTypeIFeedback:
         bank = ClauseBank(n, 2, 8)  # fresh: all empty -> all fire in learning
         rng = np.random.default_rng(123)
         lits = literal_vector(bits(True, False))
-        bank.type_i(np.arange(n), np.empty(0, dtype=np.int64), lits, s, rng)
+        forget = _bernoulli_positions(n * bank.literal_count, 1 / s, rng)
+        bank.type_i(np.arange(n), np.empty(0, dtype=np.int64), lits, forget)
         up_freq = float(np.mean(bank.state[:, 0] == 9))
         down_freq = float(np.mean(bank.state[:, 1] == 7))
         assert abs(up_freq - (s - 1) / s) < 3 * (((s - 1) / s) * (1 / s) / n) ** 0.5
@@ -277,7 +283,8 @@ class TestTypeIFeedback:
         lits = literal_vector(bits(False))
         fired = bank.fired(pack_bits(~lits), EvalMode.LEARNING)
         assert not fired.any()
-        bank.type_i(np.empty(0, dtype=np.int64), np.arange(n), lits, s, rng)
+        forget = _bernoulli_positions(n * bank.literal_count, 1 / s, rng)
+        bank.type_i(np.empty(0, dtype=np.int64), np.arange(n), lits, forget)
         decay_freq = float(np.mean(bank.state[:, 0] == 9))
         assert abs(decay_freq - 1 / s) < 3 * ((1 / s) * (1 - 1 / s) / n) ** 0.5
 
@@ -289,7 +296,8 @@ class TestTypeIFeedback:
         n = 50_000
         bank = ClauseBank(2 * n, 2, 8)
         bank.state[:] = [16, 1, 8, 8]
-        bank.type_i(np.arange(n), np.arange(n, 2 * n), literal_vector(bits(True, False)), s, np.random.default_rng(17))
+        forget = _bernoulli_positions(2 * n * bank.literal_count, 1 / s, np.random.default_rng(17))
+        bank.type_i(np.arange(n), np.arange(n, 2 * n), literal_vector(bits(True, False)), forget)
         fired, silent = bank.state[:n], bank.state[n:]
         assert (fired[:, 0] == 16).all() and (fired[:, 1] == 1).all() and (silent[:, 1] == 1).all()
         up, down = (s - 1) / s, 1 / s
@@ -531,8 +539,114 @@ class TestModelPersistence:
         with pytest.raises(ValueError, match="ended before"):
             TMModel.load(path)
 
+    def test_save_writes_replaced_bank_states(self, tmp_path):
+        model = case_study_model()
+        replacement = np.random.default_rng(2).integers(1, 17, size=model.banks[Label.NOVEL].state.shape)
+        model.banks[Label.NOVEL].state = replacement.astype(np.int16)
+        model.save(tmp_path / "model.tm")
+        loaded = TMModel.load(tmp_path / "model.tm")
+        assert np.array_equal(loaded.banks[Label.NOVEL].state, replacement)
+        assert np.array_equal(loaded.banks[Label.KNOWN].state, case_study_model().banks[Label.KNOWN].state)
+
+    def test_save_writes_exactly_the_file_bytes(self, tmp_path, monkeypatch):
+        # One buffer goes to the writer, header and states, and nothing more.
+        written = []
+        monkeypatch.setattr(tsetlin, "atomic_write_bytes", lambda path, data: written.append(len(data)))
+        case_study_model().save(tmp_path / "model.tm")
+        monkeypatch.undo()
+        case_study_model().save(tmp_path / "model.tm")
+        assert written == [(tmp_path / "model.tm").stat().st_size]
+
+    def test_header_longer_than_its_slot_raises(self, tmp_path):
+        model = TMModel.create(small_params(), 2, vocab_hash="x" * tsetlin._MAX_HEADER_BYTES)
+        with pytest.raises(ValueError, match="header"):
+            model.save(tmp_path / "model.tm")
+
     def test_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "junk.tm"
         path.write_bytes(b'{"format": "something-else"}\nxxxx')
         with pytest.raises(ValueError, match="not a model file"):
             TMModel.load(path)
+
+
+def _random_docs(seed: int, count: int, features: int, density: float = 0.05) -> list[BoolDoc]:
+    rng = np.random.default_rng(seed)
+    return [
+        BoolDoc(f"d{i}", (Label.KNOWN, Label.NOVEL)[i % 2], rng.random(features) < density) for i in range(count)
+    ]
+
+
+def _trained_states(model: TMModel) -> list[bytes]:
+    return [model.banks[label].state.tobytes() for label in (Label.KNOWN, Label.NOVEL)]
+
+
+class TestThreadedFeedback:
+    """Large banks apply feedback on worker threads with the serial results."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_threaded_fit_matches_serial_fit_byte_for_byte(self, seed, monkeypatch):
+        features = 2000
+        clauses = 2 * (tsetlin._THREAD_BYTES // (8 * features) + 1)  # one bank just above the constant
+        docs = _random_docs(seed, 6, features)
+        pools = []
+        real_pool = tsetlin.ThreadPoolExecutor
+        monkeypatch.setattr(tsetlin, "ThreadPoolExecutor", lambda *a, **k: pools.append(a) or real_pool(*a, **k))
+        params = small_params(clause_count=clauses, vote_margin=20, sensitivity=25.0, seed=seed)
+
+        threaded = TMModel.create(params, features)
+        assert threaded.banks[Label.KNOWN].state.nbytes > tsetlin._THREAD_BYTES
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # hand the interpreter between threads as often as it can
+        try:
+            _, threaded_trace = fit(threaded, docs, epochs=1)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(pools) == 1
+        monkeypatch.setattr(tsetlin, "_THREAD_BYTES", 1 << 62)
+        serial = TMModel.create(params, features)
+        _, serial_trace = fit(serial, docs, epochs=1)
+        assert len(pools) == 1
+        assert threaded_trace == serial_trace
+        assert _trained_states(threaded) == _trained_states(serial)
+
+    def test_worker_failure_propagates_and_leaves_no_thread(self, monkeypatch):
+        monkeypatch.setattr(tsetlin, "_THREAD_BYTES", 0)
+        before = threading.active_count()
+
+        def failing_type_ii(self, fired_rows, literals):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("type II failed on a worker")
+
+        monkeypatch.setattr(ClauseBank, "type_ii", failing_type_ii)
+        model = TMModel.create(small_params(clause_count=12), 30)
+        with pytest.raises(RuntimeError, match="on a worker"):
+            fit(model, _random_docs(1, 10, 30, density=0.3), epochs=1)
+        assert threading.active_count() == before
+        assert not [t for t in threading.enumerate() if t.name.startswith("tmnovelty-feedback")]
+
+    def test_desk_size_fit_starts_no_thread(self, monkeypatch):
+        before = threading.active_count()
+        seen = []
+        real_type_i = ClauseBank.type_i
+
+        def watched_type_i(self, *args):
+            seen.append((threading.current_thread() is threading.main_thread(), threading.active_count()))
+            return real_type_i(self, *args)
+
+        monkeypatch.setattr(ClauseBank, "type_i", watched_type_i)
+        model = TMModel.create(small_params(clause_count=200, vote_margin=10), 50)
+        fit(model, _random_docs(2, 40, 50, density=0.2), epochs=2)
+        assert seen and set(seen) == {(True, before)}
+
+    def test_loaded_model_trains_like_the_saved_one_on_threads(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tsetlin, "_THREAD_BYTES", 0)
+        docs = _random_docs(3, 16, 90, density=0.2)
+        model = TMModel.create(small_params(clause_count=40, seed=7), 90)
+        fit(model, docs, epochs=2)
+        model.save(tmp_path / "model.tm")
+        loaded = TMModel.load(tmp_path / "model.tm")
+        assert fit(loaded, docs, epochs=3)[1] == fit(model, docs, epochs=3)[1]
+        assert _trained_states(loaded) == _trained_states(model)
+        model.save(tmp_path / "a.tm")
+        loaded.save(tmp_path / "b.tm")
+        assert (tmp_path / "a.tm").read_bytes() == (tmp_path / "b.tm").read_bytes()
