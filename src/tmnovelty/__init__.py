@@ -37,7 +37,6 @@ from .novelty import (
     contextual_score,
     cooccurrence,
     novelty_scores,
-    relative_frequency,
     score_document,
 )
 from .tsetlin import (
@@ -86,7 +85,6 @@ __all__ = [
     "load_stopwords",
     "normalize",
     "novelty_scores",
-    "relative_frequency",
     "roc_pr",
     "score_discrimination",
     "score_document",

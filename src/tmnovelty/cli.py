@@ -78,33 +78,26 @@ def _lock_is_stale(lock: Path) -> bool:
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
-    file_text = ""
+    # Each layer overrides the one before: defaults, the environment's output
+    # dir, the config file, the profile, the flags.
+    config = RunConfig()
+    env_out = os.environ.get(OUTPUT_DIR_ENV)
+    if env_out:
+        config.output_dir = env_out
     if args.config:
         path = Path(args.config)
         if not path.is_file():
             raise MissingInputError(f"config file not found: {path}")
-        file_text = read_utf8(path)
         try:
-            config = parse_config(file_text)
+            config = parse_config(read_utf8(path), config)
         except ValueError as err:
             raise ValidationError(f"malformed config: {err}") from None
-    else:
-        config = RunConfig()
     if args.profile:
         config.apply_profile(args.profile)
     for f in dataclasses.fields(RunConfig):
         value = getattr(args, f.name, None)
         if value is not None:
             setattr(config, f.name, value)
-    # Output dir precedence: --out flag > config file > environment > default.
-    env_out = os.environ.get(OUTPUT_DIR_ENV)
-    file_sets_out = any(
-        line.split("=", 1)[0].strip() == "output_dir"
-        for line in file_text.splitlines()
-        if line.strip() and not line.strip().startswith("#")
-    )
-    if env_out and getattr(args, "output_dir", None) is None and not file_sets_out:
-        config.output_dir = env_out
     return config
 
 
@@ -148,11 +141,11 @@ def _read_model(outdir: Path, vocab: corpus_mod.Vocabulary) -> tsetlin.TMModel:
     return model
 
 
-def _score_table(config: RunConfig, vocab: corpus_mod.Vocabulary, model: tsetlin.TMModel):
+def _score_table(vocab: corpus_mod.Vocabulary, model: tsetlin.TMModel):
     clauses = tsetlin.extract_clauses(model, vocab)
     bags = novelty.build_word_bags(clauses)
     try:
-        table = novelty.novelty_scores(bags, smoothing=config.smoothing)
+        table = novelty.novelty_scores(bags)
     except ValueError as err:
         raise ValidationError(str(err)) from None
     return clauses, bags, table
@@ -205,7 +198,7 @@ def cmd_describe(config: RunConfig) -> None:
     outdir = _outdir(config)
     vocab = _read_vocab(outdir)
     model = _read_model(outdir, vocab)
-    _, bags, table = _score_table(config, vocab, model)
+    _, bags, table = _score_table(vocab, model)
     novelty.write_score_table(bags, table, outdir / "score_table.csv")
     print(f"describe: {len(table)} scored words "
           f"(bag totals {bags.total_known}/{bags.total_novel})")
@@ -217,13 +210,13 @@ def cmd_context(config: RunConfig, words: list[str], target_class: Label) -> Non
     outdir = _outdir(config)
     vocab = _read_vocab(outdir)
     model = _read_model(outdir, vocab)
-    clauses, _, table = _score_table(config, vocab, model)
+    clauses, _, table = _score_table(vocab, model)
     co = novelty.cooccurrence(clauses, target_class, clause_count=model.params.clause_count)
     missing = [w for w in words if w not in table]
     if missing:
         raise ValidationError(f"words not scored by the model: {', '.join(missing)}")
     path = outdir / f"context_{target_class.value}.csv"
-    novelty.write_cooccurrence_matrix(co, table, words, path, mode=config.contextual_mode)
+    novelty.write_cooccurrence_matrix(co, table, words, path)
     print(f"context: {len(words)}x{len(words)} matrix for class {target_class.value}")
 
 
@@ -240,15 +233,13 @@ def cmd_tfidf(config: RunConfig) -> None:
 
 
 def cmd_eval(config: RunConfig) -> None:
-    if not config.smoothing:
-        raise ValidationError("eval needs smoothing: the summary table and the logistic features need finite scores")
     outdir = _outdir(config)
     vocab = _read_vocab(outdir)
     model = _read_model(outdir, vocab)
     token_docs = corpus_mod.read_tokens(_require(outdir / "tokens.csv", "token table"))
     docs = [tokens for _, _, tokens in token_docs]
     labels = [label for _, label, _ in token_docs]
-    _, bags, table = _score_table(config, vocab, model)
+    _, bags, table = _score_table(vocab, model)
 
     stats = corpus_mod.corpus_stats(list(zip(labels, docs)))
     tfidf = baseline.tfidf_scores(stats)
@@ -269,11 +260,10 @@ def cmd_eval(config: RunConfig) -> None:
     except ValueError as err:
         raise ValidationError(str(err)) from None
 
-    aggregator = novelty.Aggregator(config.aggregator)
     doc_rows = ["doc_id,label,aggregate\n"]
     for (doc_id, label, tokens) in token_docs:
-        scored = novelty.score_document(tokens, table, aggregator=aggregator)
-        rendered = "" if scored.aggregate is None else repr(scored.aggregate)
+        aggregate = novelty.score_document(tokens, table)
+        rendered = "" if aggregate is None else repr(aggregate)
         doc_rows.append(f"{doc_id},{label.value},{rendered}\n")
     atomic_write_text(outdir / "doc_scores.csv", "".join(doc_rows))
 
@@ -283,7 +273,6 @@ def cmd_eval(config: RunConfig) -> None:
         tm_result=tm_result,
         tfidf_result=tfidf_result,
         seed=config.seed,
-        extras={"aggregator": aggregator.value},
     )
     evaluation.write_report_json(report, outdir / "report.json")
     evaluation.write_curve_csv(tm_result.curves.roc_points, ("fpr", "tpr"), outdir / "roc_tm.csv")
@@ -317,9 +306,6 @@ def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--state-count", dest="state_count", type=int)
     parser.add_argument("--epochs", type=int)
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--no-smoothing", dest="smoothing", action="store_const", const=False)
-    parser.add_argument("--aggregator", choices=[a.value for a in novelty.Aggregator])
-    parser.add_argument("--contextual-mode", dest="contextual_mode", choices=["bag", "clause"])
     parser.add_argument("--out", dest="output_dir")
 
 

@@ -43,10 +43,6 @@ class RunConfig:
     state_count: int = 128
     epochs: int = 100
     seed: int = 0
-    # Scoring.
-    smoothing: bool = True
-    aggregator: str = "mean_log"
-    contextual_mode: str = "bag"
     # Output.
     output_dir: str = "out"
 
@@ -72,7 +68,8 @@ _BOOL_TRUE = {"true", "1", "yes", "on"}
 _BOOL_FALSE = {"false", "0", "no", "off"}
 
 
-def parse_config(text: str) -> RunConfig:
+def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
+    """The config ``text`` describes, over ``base`` (the defaults when None)."""
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     values: dict[str, object] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -87,12 +84,14 @@ def parse_config(text: str) -> RunConfig:
         if key not in fields:
             raise ValueError(f"unknown config key {key!r} (line {lineno})")
         values[key] = _coerce(key, value, fields[key].type)
-    return RunConfig(**values)
+    return dataclasses.replace(base or RunConfig(), **values)
 
 
 def _coerce(key: str, value: str, type_hint: str | type) -> object:
     hint = type_hint if isinstance(type_hint, str) else getattr(type_hint, "__name__", str(type_hint))
     if value == "none":
+        if "None" not in hint:
+            raise ValueError(f"config key {key!r} cannot be none")
         return None
     if "bool" in hint:
         low = value.lower()

@@ -157,6 +157,8 @@ def build_vocabulary(
         raise ValueError("empty corpus")
     if min_df < 1:
         raise ValueError("min_df must be >= 1")
+    if max_features is not None and max_features < 1:
+        raise ValueError("max_features must be >= 1")
     df: Counter[str] = Counter()
     for doc in docs:
         df.update(set(doc))

@@ -3,8 +3,8 @@ logistic regression on document score features, and ROC / precision-recall.
 
 Documents are summarized by four features of their per-word scores: mean
 log score, max score and fraction of tokens scoring above 1, all three from
-``novelty.reduce_scores`` (the same reduction as the ``--aggregator``
-column), plus scored-token coverage.  A seeded stratified split plus
+``novelty.reduce_scores`` (the same reduction as the ``aggregate`` column of
+``doc_scores.csv``), plus scored-token coverage.  A seeded stratified split plus
 full-batch logistic regression turns those into a known/novel classifier
 whose ranking quality is reported as ROC AUC and average precision.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from statistics import fmean, pstdev
@@ -294,17 +294,14 @@ def score_discrimination(
     labels: Sequence[Label],
     word_scores: Mapping[str, float],
     seed: int = 0,
-    test_fraction: float = 0.3,
-    epochs: int = 500,
-    learning_rate: float = 0.5,
 ) -> DiscriminationResult:
     """Split, featurize, fit logistic on the train side, and rank the test side."""
     features = doc_feature_matrix(token_docs, word_scores)
     targets = np.array([lab is Label.NOVEL for lab in labels], dtype=np.float64)
-    train_idx, test_idx = train_test_split(labels, test_fraction=test_fraction, seed=seed)
+    train_idx, test_idx = train_test_split(labels, seed=seed)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        model = fit_logistic(features[train_idx], targets[train_idx], epochs=epochs, learning_rate=learning_rate)
+        model = fit_logistic(features[train_idx], targets[train_idx])
     probs = model.predict_proba(features[test_idx])
     curves = roc_pr(probs, targets[test_idx].astype(bool))
     accuracy = float(np.mean((probs >= 0.5) == targets[test_idx].astype(bool)))
@@ -325,7 +322,6 @@ class EvalReport:
     tm_result: DiscriminationResult
     tfidf_result: DiscriminationResult
     seed: int
-    extras: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -337,7 +333,6 @@ class EvalReport:
             "cfd": {name: [[v, f] for v, f in pts] for name, pts in self.cfd_curves.items()},
             "tm": _result_dict(self.tm_result),
             "tfidf": _result_dict(self.tfidf_result),
-            "extras": self.extras,
         }
 
 

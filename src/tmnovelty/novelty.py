@@ -7,10 +7,10 @@ novelty score is the ratio of its smoothed relative frequency in the novel
 bag to that in the known bag, so scores above 1 lean novel and below 1 lean
 known.  Each bag is summed once, and the whole table is scored in one pass
 over the words.  A document is reduced over its scored token occurrences by
-``reduce_scores``, the one reduction behind both the ``--aggregator`` column
-and the logistic document features.  Pair scores divide clause co-occurrence
-probability by the product of the individual word probabilities, exposing
-words that the clauses treat as one context.
+``reduce_scores``, the one reduction behind both the mean-log ``aggregate``
+column and the logistic document features.  Pair scores divide clause
+co-occurrence probability by the product of the two words' bag frequencies,
+exposing words that the clauses treat as one context.
 """
 
 from __future__ import annotations
@@ -68,26 +68,10 @@ def build_word_bags(clauses: Sequence[ExtractedClause]) -> WordBags:
     return WordBags(known=dict(bag_known), novel=dict(bag_novel))
 
 
-def _smoothed(count: int, smoothing: bool) -> int:
-    """A raw bag count, lifted to at least 1 when smoothing is on."""
-    if smoothing:
-        count = max(count, 1)
+def _smoothed(count: int) -> int:
+    """A raw bag count, lifted to the minimum frequency of 1."""
+    count = max(count, 1)
     return count
-
-
-def relative_frequency(bags: WordBags, word: str, label: Label, smoothing: bool = True) -> float:
-    """Relative frequency of a word in one bag, with minimum-frequency-1 smoothing.
-
-    Smoothing lifts only the word's own count; the bag total stays raw, so a
-    word absent from a 14-word bag gets 1/14.
-    """
-    if word not in bags.known and word not in bags.novel:
-        raise KeyError(f"unseen word: {word!r}")
-    bag = bags.known if label is Label.KNOWN else bags.novel
-    total = bags.total_known if label is Label.KNOWN else bags.total_novel
-    if total == 0:
-        raise ValueError("untrained description: empty bag")
-    return _smoothed(bag.get(word, 0), smoothing) / total
 
 
 @dataclass(frozen=True)
@@ -105,12 +89,12 @@ class ScoreTable:
         return word in self.scores
 
 
-def novelty_scores(bags: WordBags, smoothing: bool = True) -> ScoreTable:
+def novelty_scores(bags: WordBags) -> ScoreTable:
     """Score every word in either bag as p_novel / p_known, in one pass.
 
-    With smoothing on (the default) every score is finite and positive.
-    With smoothing off, a word seen only in the known bag scores 0 and a
-    word seen only in the novel bag scores inf.
+    A relative frequency is the word's count, lifted to at least 1, over the
+    raw bag total, so a word absent from a 14-word bag gets 1/14 and every
+    score is finite and positive.
     """
     total_known = bags.total_known
     total_novel = bags.total_novel
@@ -120,9 +104,9 @@ def novelty_scores(bags: WordBags, smoothing: bool = True) -> ScoreTable:
     rel_known: dict[str, float] = {}
     rel_novel: dict[str, float] = {}
     for word in bags.words():
-        p_known = rel_known[word] = _smoothed(bags.known.get(word, 0), smoothing) / total_known
-        p_novel = rel_novel[word] = _smoothed(bags.novel.get(word, 0), smoothing) / total_novel
-        scores[word] = p_novel / p_known if p_known else math.inf
+        p_known = rel_known[word] = _smoothed(bags.known.get(word, 0)) / total_known
+        p_novel = rel_novel[word] = _smoothed(bags.novel.get(word, 0)) / total_novel
+        scores[word] = p_novel / p_known
     return ScoreTable(scores=scores, rel_freq_known=rel_known, rel_freq_novel=rel_novel)
 
 
@@ -130,7 +114,6 @@ class Aggregator(str, Enum):
     """Document-level reduction of per-word scores."""
 
     MEAN_LOG = "mean_log"
-    SUM_LOG = "sum_log"
     MAX = "max"
     FRACTION_ABOVE_ONE = "fraction_above_one"
 
@@ -141,45 +124,29 @@ _LOG_FLOOR = 1e-12
 def reduce_scores(occurrence_scores: Sequence[float]) -> dict[Aggregator, float]:
     """Every aggregate over a document's scored token occurrences (at least one).
 
-    Scores at or below zero (unsmoothed known-only words, TF-IDF) are floored
-    at 1e-12 inside the log, so the log aggregates stay finite; the logs are
-    summed exactly (``math.fsum``).
+    Scores at or below zero (TF-IDF) are floored at 1e-12 inside the log, so
+    the mean log stays finite; the logs are summed exactly (``math.fsum``).
     """
     n = len(occurrence_scores)
     sum_log = math.fsum(math.log(max(s, _LOG_FLOOR)) for s in occurrence_scores)
     return {
         Aggregator.MEAN_LOG: sum_log / n,
-        Aggregator.SUM_LOG: sum_log,
         Aggregator.MAX: max(occurrence_scores),
         Aggregator.FRACTION_ABOVE_ONE: sum(s > 1.0 for s in occurrence_scores) / n,
     }
 
 
-@dataclass(frozen=True)
-class ScoredDocument:
-    """Per-word scores for the in-table tokens of one document, plus the aggregate.
+def score_document(tokens: Sequence[str], table: ScoreTable) -> float | None:
+    """Mean log score over the document's scored token occurrences.
 
-    ``aggregate`` is None when no token of the document is scored.
+    None when no token of the document is scored.
     """
-
-    word_scores: Mapping[str, float]
-    aggregate: float | None
-    aggregator: Aggregator
-
-
-def score_document(
-    tokens: Sequence[str],
-    table: ScoreTable,
-    aggregator: Aggregator = Aggregator.MEAN_LOG,
-) -> ScoredDocument:
-    """Look up each token's score and reduce over scored token occurrences."""
     if len(table) == 0:
         raise ValueError("empty score table")
     occurrence_scores = [table.scores[t] for t in tokens if t in table.scores]
     if not occurrence_scores:
-        return ScoredDocument(word_scores={}, aggregate=None, aggregator=aggregator)
-    word_scores = {t: table.scores[t] for t in tokens if t in table.scores}
-    return ScoredDocument(word_scores, reduce_scores(occurrence_scores)[aggregator], aggregator)
+        return None
+    return reduce_scores(occurrence_scores)[Aggregator.MEAN_LOG]
 
 
 @dataclass(frozen=True)
@@ -230,31 +197,20 @@ def contextual_score(
     table: ScoreTable,
     word1: str,
     word2: str,
-    mode: str = "bag",
 ) -> float:
     """Pair score: joint clause probability over the product of word probabilities.
 
-    ``bag`` mode (default) takes the individual probabilities from the bag
-    relative frequencies of the co-occurrence's group; ``clause`` mode uses
-    per-clause frequencies (word clause count / pool size) for both sides,
-    which bounds the score by 1/max(p1, p2).
+    The individual probabilities are the bag relative frequencies of the
+    co-occurrence's group.
     """
     if co.clause_count == 0:
         raise ValueError("no clauses available for co-occurrence scoring")
     p_joint = co.pair_count(word1, word2) / co.clause_count
-    if mode == "bag":
-        freqs = table.rel_freq_known if co.label is Label.KNOWN else table.rel_freq_novel
-        try:
-            p1, p2 = freqs[word1], freqs[word2]
-        except KeyError as missing:
-            raise KeyError(f"unscored word: {missing.args[0]!r}") from None
-    elif mode == "clause":
-        p1 = co.word_counts.get(word1, 0) / co.clause_count
-        p2 = co.word_counts.get(word2, 0) / co.clause_count
-        if p1 == 0.0 or p2 == 0.0:
-            raise ValueError("word absent from every clause; no per-clause probability")
-    else:
-        raise ValueError(f"unknown mode {mode!r}; expected 'bag' or 'clause'")
+    freqs = table.rel_freq_known if co.label is Label.KNOWN else table.rel_freq_novel
+    try:
+        p1, p2 = freqs[word1], freqs[word2]
+    except KeyError as missing:
+        raise KeyError(f"unscored word: {missing.args[0]!r}") from None
     return p_joint / (p1 * p2)
 
 
@@ -280,7 +236,6 @@ def write_cooccurrence_matrix(
     table: ScoreTable,
     words: Sequence[str],
     path: str | Path,
-    mode: str = "bag",
 ) -> None:
     """Upper-triangular CSV of pair scores for the requested word list."""
     header = "word," + ",".join(words) + "\n"
@@ -291,6 +246,6 @@ def write_cooccurrence_matrix(
             if j < i:
                 cells.append("")
             else:
-                cells.append(repr(contextual_score(co, table, w1, w2, mode=mode)))
+                cells.append(repr(contextual_score(co, table, w1, w2)))
         rows.append(",".join(cells) + "\n")
     atomic_write_text(path, "".join(rows))

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._files import atomic_write_text
-from .corpus import Label
+from tmnovelty.corpus import Label
 
 
 def _word_series(prefix: str, count: int) -> list[str]:
@@ -94,11 +93,3 @@ def generate_corpus(config: SyntheticConfig = SyntheticConfig(), seed: int = 0) 
         known_pair=known_pair,
         novel_pair=novel_pair,
     )
-
-
-def write_corpus_csv(corpus: SyntheticCorpus, path) -> None:
-    """Dump as the doc_id/label/text CSV layout the ingestion stage accepts."""
-    rows = ["doc_id,label,text\n"]
-    for i, (tokens, label) in enumerate(zip(corpus.docs, corpus.labels)):
-        rows.append(f"doc{i:04d},{label.value},{' '.join(tokens)}\n")
-    atomic_write_text(path, "".join(rows))

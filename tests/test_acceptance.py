@@ -32,9 +32,8 @@ from tmnovelty.novelty import (
     contextual_score,
     cooccurrence,
     novelty_scores,
-    relative_frequency,
 )
-from tmnovelty.synthetic import SyntheticConfig, generate_corpus
+from synthetic import SyntheticConfig, generate_corpus
 from tmnovelty.tsetlin import ExtractedClause, Polarity, TMModel, TMParams, extract_clauses, fit
 
 from helpers import EXPECTED_BAG_KNOWN, EXPECTED_BAG_NOVEL, case_study_clauses
@@ -58,11 +57,11 @@ class TestC1CaseStudy:
         assert bags.total_known == 14
         assert bags.total_novel == 13
 
-        assert abs(relative_frequency(bags, "match", Label.KNOWN) - 0.071) <= 0.001
-        assert abs(relative_frequency(bags, "match", Label.NOVEL) - 0.154) <= 0.001
-        assert abs(relative_frequency(bags, "rugby", Label.KNOWN) - 0.071) <= 0.001
-
         table = novelty_scores(bags)
+        assert abs(table.rel_freq_known["match"] - 0.071) <= 0.001
+        assert abs(table.rel_freq_novel["match"] - 0.154) <= 0.001
+        assert abs(table.rel_freq_known["rugby"] - 0.071) <= 0.001
+
         golden = {
             "england": 1.070,
             "won": 2.169,

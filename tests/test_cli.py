@@ -164,14 +164,44 @@ class TestExitCodes:
         ])
         assert code == EXIT_VALIDATION
 
-    def test_eval_refuses_unsmoothed_scores(self, tmp_path, corpus_dirs, capsys):
+    @pytest.mark.parametrize(
+        "setting,flag",
+        [
+            ("smoothing = false", "--no-smoothing"),
+            ("aggregator = max", "--aggregator=max"),
+            ("contextual_mode = clause", "--contextual-mode=clause"),
+        ],
+        ids=["smoothing", "aggregator", "contextual_mode"],
+    )
+    def test_scoring_variants_are_rejected(self, tmp_path, corpus_dirs, capsys, setting, flag):
+        # Scoring has one definition, the paper's; no setting selects another.
         base = small_run(tmp_path, corpus_dirs)
-        assert main(["ingest", *base]) == EXIT_OK
-        assert main(["train", *base]) == EXIT_OK
-        assert main(["describe", *base, "--no-smoothing"]) == EXIT_OK
-        capsys.readouterr()
-        assert main(["eval", *base, "--no-smoothing"]) == EXIT_VALIDATION
-        assert "finite scores" in one_line_error(capsys)
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{setting}\n", "utf-8")
+        assert main(["eval", *base, "--config", str(config)]) == EXIT_VALIDATION
+        assert "unknown config key" in one_line_error(capsys)
+        with pytest.raises(SystemExit) as exited:
+            main(["eval", *base, flag])
+        assert exited.value.code == 2
+
+    @pytest.mark.parametrize("key", ["clauses", "seed"])
+    def test_none_for_a_key_that_needs_a_value(self, tmp_path, corpus_dirs, capsys, key):
+        known, novel = corpus_dirs
+        config = tmp_path / "run.cfg"
+        config.write_text(f"{key} = none\n", "utf-8")
+        code = main([
+            "ingest", "--known-dir", str(known), "--novel-dir", str(novel),
+            "--config", str(config), "--out", str(tmp_path / "out"),
+        ])
+        assert code == EXIT_VALIDATION
+        assert f"{key!r} cannot be none" in one_line_error(capsys)
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_max_features_below_one_is_validation_error(self, tmp_path, corpus_dirs, capsys, value):
+        base = small_run(tmp_path, corpus_dirs)
+        assert main(["ingest", *base, "--max-features", value]) == EXIT_VALIDATION
+        assert "max_features" in one_line_error(capsys)
+        assert not (tmp_path / "out" / "vocabulary.txt").exists()
 
     def test_state_count_beyond_int16_is_validation_error(self, tmp_path, corpus_dirs, capsys):
         base = small_run(tmp_path, corpus_dirs)
@@ -422,6 +452,29 @@ class TestConfigRoundTrip:
         monkeypatch.setenv("TMNOVELTY_OUT", str(target))
         assert main(["ingest", "--known-dir", str(known), "--novel-dir", str(novel)]) == EXIT_OK
         assert (target / "vocabulary.txt").is_file()
+
+    def test_output_dir_precedence(self, tmp_path, monkeypatch, corpus_dirs):
+        # --out beats the config file, which beats TMNOVELTY_OUT, which beats the default.
+        known, novel = corpus_dirs
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "run.cfg"
+        config.write_text(f"output_dir = {tmp_path / 'file_out'}\n", "utf-8")
+        ingest = ["ingest", "--known-dir", str(known), "--novel-dir", str(novel)]
+        cases = [
+            (ingest, None, "out"),
+            (ingest, "env_out", "env_out"),
+            ([*ingest, "--config", str(config)], "env_out", "file_out"),
+            ([*ingest, "--config", str(config), "--out", "flag_out"], "env_out", "flag_out"),
+        ]
+        written: set[str] = set()
+        for argv, env, expected in cases:
+            if env is None:
+                monkeypatch.delenv("TMNOVELTY_OUT", raising=False)
+            else:
+                monkeypatch.setenv("TMNOVELTY_OUT", str(tmp_path / env))
+            assert main(argv) == EXIT_OK
+            written.add(expected)
+            assert {p.name for p in tmp_path.iterdir() if (p / "vocabulary.txt").is_file()} == written
 
     def test_lock_file_blocks_concurrent_use(self, tmp_path, corpus_dirs):
         known, novel = corpus_dirs

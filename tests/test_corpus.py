@@ -25,7 +25,7 @@ from tmnovelty.corpus import (
     write_tokens,
     write_vocabulary,
 )
-from tmnovelty.synthetic import _word_series
+from synthetic import _word_series
 
 from helpers import CASE_STUDY_WORDS
 
@@ -126,6 +126,11 @@ class TestBuildVocabulary:
         a = build_vocabulary([["z", "m", "a"]])
         b = build_vocabulary([["a"], ["m"], ["z"]])
         assert a.words == b.words == ("a", "m", "z")
+
+    @pytest.mark.parametrize("max_features", [0, -1])
+    def test_max_features_below_one_rejected(self, max_features):
+        with pytest.raises(ValueError, match="max_features"):
+            build_vocabulary([["a", "b"], ["b", "c"]], max_features=max_features)
 
     def test_max_features_keeps_most_frequent(self):
         docs = [["a", "b"], ["b", "c"], ["b", "c"]]

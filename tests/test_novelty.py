@@ -19,7 +19,6 @@ from tmnovelty.novelty import (
     cooccurrence,
     novelty_scores,
     reduce_scores,
-    relative_frequency,
     score_document,
     write_score_table,
 )
@@ -128,23 +127,24 @@ class TestBuildWordBags:
 
 class TestRelativeFrequency:
     @pytest.fixture()
-    def bags(self):
-        return build_word_bags(case_study_clauses())
+    def table(self):
+        return novelty_scores(build_word_bags(case_study_clauses()))
 
-    def test_match_known(self, bags):
-        assert relative_frequency(bags, "match", Label.KNOWN) == pytest.approx(1 / 14)
+    def test_match_known(self, table):
+        assert table.rel_freq_known["match"] == pytest.approx(1 / 14)
 
-    def test_match_novel(self, bags):
-        assert relative_frequency(bags, "match", Label.NOVEL) == pytest.approx(2 / 13)
+    def test_match_novel(self, table):
+        assert table.rel_freq_novel["match"] == pytest.approx(2 / 13)
 
-    def test_rugby_known_smoothed(self, bags):
+    def test_rugby_known_smoothed(self, table):
         # Absent from the known bag: the minimum frequency of 1 applies while
         # the denominator stays at the raw total of 14.
-        assert relative_frequency(bags, "rugby", Label.KNOWN) == pytest.approx(1 / 14)
+        assert table.rel_freq_known["rugby"] == pytest.approx(1 / 14)
 
-    def test_unseen_word_rejected(self, bags):
-        with pytest.raises(KeyError, match="unseen word"):
-            relative_frequency(bags, "zeppelin", Label.KNOWN)
+    def test_unseen_word_rejected(self, table):
+        assert "zeppelin" not in table
+        with pytest.raises(KeyError):
+            table.rel_freq_known["zeppelin"]
 
 
 class TestNoveltyScores:
@@ -172,13 +172,6 @@ class TestNoveltyScores:
         bags = WordBags(known={}, novel={"a": 1})
         with pytest.raises(ValueError, match="untrained description"):
             novelty_scores(bags)
-
-    def test_smoothing_off_branch_coverage(self):
-        bags = WordBags(known={"shared": 2, "onlyk": 1}, novel={"shared": 1, "onlyn": 3})
-        table = novelty_scores(bags, smoothing=False)
-        assert table.scores["onlyn"] == math.inf
-        assert table.scores["onlyk"] == 0.0
-        assert 0.0 < table.scores["shared"] < math.inf
 
     def test_rel_freq_sums_to_one_over_raw_support(self, table):
         bags = build_word_bags(case_study_clauses())
@@ -219,50 +212,33 @@ class TestScoreDocument:
         return novelty_scores(build_word_bags(case_study_clauses()))
 
     def test_unseen_only_doc_has_no_aggregate(self, table):
-        scored = score_document(["zzz", "qqq"], table)
-        assert scored.word_scores == {}
-        assert scored.aggregate is None
+        assert score_document(["zzz", "qqq"], table) is None
 
     def test_single_known_word_logs_negative(self, table):
-        scored = score_document(["cricket"], table)
-        assert scored.aggregate == pytest.approx(math.log(table.scores["cricket"]))
-        assert scored.aggregate < 0
+        aggregate = score_document(["cricket"], table)
+        assert aggregate == pytest.approx(math.log(table.scores["cricket"]))
+        assert aggregate < 0
 
     def test_mean_of_log_scores(self, table):
-        scored = score_document(["rugby", "cricket"], table)
         expected = (math.log(table.scores["rugby"]) + math.log(table.scores["cricket"])) / 2
-        assert scored.aggregate == pytest.approx(expected)
-
-    def test_alternative_aggregators(self, table):
-        tokens = ["rugby", "cricket"]
-        assert score_document(tokens, table, Aggregator.MAX).aggregate == pytest.approx(
-            table.scores["rugby"]
-        )
-        assert score_document(tokens, table, Aggregator.FRACTION_ABOVE_ONE).aggregate == 0.5
-        sum_log = score_document(tokens, table, Aggregator.SUM_LOG).aggregate
-        assert sum_log == pytest.approx(
-            math.log(table.scores["rugby"]) + math.log(table.scores["cricket"])
-        )
+        assert score_document(["rugby", "cricket"], table) == pytest.approx(expected)
 
     def test_document_features_come_from_the_same_reduction(self, table):
         tokens = ["rugby", "cricket", "rugby", "zzz", "match"]
         features = doc_feature_matrix([tokens], table.scores)[0]
-        expected = [
-            score_document(tokens, table, aggregator).aggregate
-            for aggregator in (Aggregator.MEAN_LOG, Aggregator.MAX, Aggregator.FRACTION_ABOVE_ONE)
-        ]
-        assert features[:3].tolist() == expected
+        assert features[0] == score_document(tokens, table)
+        assert features[1] == table.scores["rugby"]
+        assert features[2] == 3 / 4  # rugby twice and match score above 1, cricket below
         assert features[3] == 4 / 5
 
     def test_log_floor_keeps_zero_scores_finite(self):
         reduced = reduce_scores([0.0, math.e])
-        assert reduced[Aggregator.SUM_LOG] == pytest.approx(math.log(1e-12) + 1.0)
-        assert reduced[Aggregator.MEAN_LOG] == reduced[Aggregator.SUM_LOG] / 2
+        assert reduced[Aggregator.MEAN_LOG] == pytest.approx((math.log(1e-12) + 1.0) / 2)
         assert reduced[Aggregator.FRACTION_ABOVE_ONE] == 0.5
 
     def test_occurrence_multiplicity_counts(self, table):
-        once = score_document(["rugby", "cricket"], table).aggregate
-        weighted = score_document(["rugby", "rugby", "cricket"], table).aggregate
+        once = score_document(["rugby", "cricket"], table)
+        weighted = score_document(["rugby", "rugby", "cricket"], table)
         assert weighted > once  # extra high-score occurrence pulls the mean up
 
 
@@ -312,30 +288,10 @@ class TestContextualScore:
         expected = (2 / 4) / ((4 / 13) * (2 / 13))
         assert contextual_score(co, table, "rugby", "old") == pytest.approx(expected)
 
-    def test_clause_mode_upper_bound(self, setup):
-        co, table = setup
-        for w1 in ("rugby", "old", "match"):
-            for w2 in ("rugby", "old", "match"):
-                score = contextual_score(co, table, w1, w2, mode="clause")
-                p1 = co.word_counts.get(w1, 0) / co.clause_count
-                p2 = co.word_counts.get(w2, 0) / co.clause_count
-                assert score <= 1.0 / max(p1, p2) + 1e-12
-
     def test_unscored_word_rejected(self, setup):
         co, table = setup
         with pytest.raises(KeyError, match="unscored word"):
             contextual_score(co, table, "rugby", "zeppelin")
-
-    def test_max_when_pair_fills_every_clause(self):
-        clauses = [
-            make_clause(Label.NOVEL, Polarity.POSITIVE, plain=["a", "b"], index=i)
-            for i in range(4)
-        ]
-        table = novelty_scores(build_word_bags(clauses + case_study_clauses()))
-        co = cooccurrence(clauses, Label.NOVEL)
-        score_ab = contextual_score(co, table, "a", "b", mode="clause")
-        assert score_ab == pytest.approx(1.0)  # joint 1 over 1*1: the ceiling
-
 
 class TestScoreTableExport:
     def test_sorted_by_descending_score(self, tmp_path):
