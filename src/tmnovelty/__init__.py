@@ -46,7 +46,6 @@ from .tsetlin import (
     Polarity,
     TMModel,
     TMParams,
-    classify,
     extract_clauses,
     fit,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "build_word_bags",
     "categorize_words",
     "cfd",
-    "classify",
     "contextual_score",
     "cooccurrence",
     "corpus_stats",

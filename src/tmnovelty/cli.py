@@ -2,8 +2,10 @@
 
 Every stage reads its inputs from the shared output directory, validates
 them, and writes its products atomically, so re-running a stage with
-unchanged inputs rewrites byte-identical files.  Exit codes: 0 ok,
-1 validation failure, 2 missing input.
+unchanged inputs rewrites byte-identical files.  A stage takes flags only
+for the settings it reads, and records those settings in
+``<stage>_config.txt`` once it succeeds.  Exit codes: 0 ok, 1 validation
+failure, 2 missing input.
 """
 
 from __future__ import annotations
@@ -12,13 +14,14 @@ import argparse
 import dataclasses
 import os
 import sys
+from collections.abc import Callable
 from contextlib import contextmanager
 from pathlib import Path
 
 from . import baseline, evaluation, novelty, tsetlin
 from . import corpus as corpus_mod
 from ._files import atomic_write_text, read_utf8
-from .config import PROFILES, RunConfig, parse_config, save_config
+from .config import PROFILES, RunConfig, parse_config, serialize_config
 from .corpus import Label
 
 OUTPUT_DIR_ENV = "TMNOVELTY_OUT"
@@ -79,7 +82,7 @@ def _lock_is_stale(lock: Path) -> bool:
 
 def _build_config(args: argparse.Namespace) -> RunConfig:
     # Each layer overrides the one before: defaults, the environment's output
-    # dir, the config file, the profile, the flags.
+    # dir, the config file, the profile (train only), the flags.
     config = RunConfig()
     env_out = os.environ.get(OUTPUT_DIR_ENV)
     if env_out:
@@ -92,7 +95,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
             config = parse_config(read_utf8(path), config)
         except ValueError as err:
             raise ValidationError(f"malformed config: {err}") from None
-    if args.profile:
+    if getattr(args, "profile", None):
         config.apply_profile(args.profile)
     for f in dataclasses.fields(RunConfig):
         value = getattr(args, f.name, None)
@@ -204,7 +207,8 @@ def cmd_describe(config: RunConfig) -> None:
           f"(bag totals {bags.total_known}/{bags.total_novel})")
 
 
-def cmd_context(config: RunConfig, words: list[str], target_class: Label) -> None:
+def cmd_context(config: RunConfig, word_list: str, target_class: Label) -> None:
+    words = [w for w in word_list.split(",") if w]
     if not words:
         raise ValidationError("--words names no word")
     outdir = _outdir(config)
@@ -286,72 +290,79 @@ def cmd_eval(config: RunConfig) -> None:
 
 # -- argument parsing ---------------------------------------------------------
 
+# The flag of each RunConfig setting that some stage reads.
+_FLAGS: dict[str, tuple[str, dict]] = {
+    "known_dir": ("--known-dir", {}),
+    "novel_dir": ("--novel-dir", {}),
+    "data_root": ("--data-root", {}),
+    "known_groups": ("--known-groups", {"help": "';'-separated folders under data root"}),
+    "novel_groups": ("--novel-groups", {}),
+    "csv_path": ("--csv-path", {}),
+    "stoplist_path": ("--stoplist", {}),
+    "stemming": ("--no-stemming", {"action": "store_const", "const": False}),
+    "min_df": ("--min-df", {"type": int}),
+    "max_features": ("--max-features", {"type": int}),
+    "clauses": ("--clauses", {"type": int}),
+    "vote_margin": ("--vote-margin", {"type": int}),
+    "sensitivity": ("--sensitivity", {"type": float}),
+    "state_count": ("--state-count", {"type": int}),
+    "epochs": ("--epochs", {"type": int}),
+    "seed": ("--seed", {"type": int}),
+}
 
-def _add_config_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--config", help="key=value config file; flags override file values")
-    parser.add_argument("--profile", choices=sorted(PROFILES), help="hyperparameter profile")
-    parser.add_argument("--known-dir", dest="known_dir")
-    parser.add_argument("--novel-dir", dest="novel_dir")
-    parser.add_argument("--data-root", dest="data_root")
-    parser.add_argument("--known-groups", dest="known_groups", help="';'-separated folders under data root")
-    parser.add_argument("--novel-groups", dest="novel_groups")
-    parser.add_argument("--csv-path", dest="csv_path")
-    parser.add_argument("--stoplist", dest="stoplist_path")
-    parser.add_argument("--no-stemming", dest="stemming", action="store_const", const=False)
-    parser.add_argument("--min-df", dest="min_df", type=int)
-    parser.add_argument("--max-features", dest="max_features", type=int)
-    parser.add_argument("--clauses", type=int)
-    parser.add_argument("--vote-margin", dest="vote_margin", type=int)
-    parser.add_argument("--sensitivity", type=float)
-    parser.add_argument("--state-count", dest="state_count", type=int)
-    parser.add_argument("--epochs", type=int)
-    parser.add_argument("--seed", type=int)
-    parser.add_argument("--out", dest="output_dir")
+# Each stage: its command, help line and the settings it reads.  A stage takes
+# flags for exactly these, and after it succeeds records them in
+# <stage>_config.txt.
+STAGES: dict[str, tuple[Callable[..., None], str, tuple[str, ...]]] = {
+    "ingest": (
+        cmd_ingest,
+        "normalize the corpus, build the vocabulary, write bit vectors",
+        ("known_dir", "novel_dir", "data_root", "known_groups", "novel_groups", "csv_path",
+         "stoplist_path", "stemming", "min_df", "max_features"),
+    ),
+    "train": (
+        cmd_train,
+        "train the clause machine on the ingested corpus",
+        ("clauses", "vote_margin", "sensitivity", "state_count", "epochs", "seed"),
+    ),
+    "describe": (cmd_describe, "extract word bags and novelty scores from the model", ()),
+    "context": (cmd_context, "pairwise contextual scores for selected words", ()),
+    "tfidf": (cmd_tfidf, "TF-IDF baseline table", ()),
+    "eval": (cmd_eval, "summary stats, CFD curves, and logistic ROC/PR report", ("seed",)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="tmnovelty", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("ingest", "normalize the corpus, build the vocabulary, write bit vectors"),
-        ("train", "train the clause machine on the ingested corpus"),
-        ("describe", "extract word bags and novelty scores from the model"),
-        ("context", "pairwise contextual scores for selected words"),
-        ("tfidf", "TF-IDF baseline table"),
-        ("eval", "summary stats, CFD curves, and logistic ROC/PR report"),
-    ):
+    for name, (_, help_text, settings) in STAGES.items():
         p = sub.add_parser(name, help=help_text)
-        _add_config_arguments(p)
+        p.add_argument("--config", help="key=value config file; flags override file values")
+        if name == "train":
+            p.add_argument("--profile", choices=sorted(PROFILES), help="hyperparameter profile")
+        for setting in settings:
+            flag, options = _FLAGS[setting]
+            p.add_argument(flag, dest=setting, **options)
         if name == "context":
             p.add_argument("--words", required=True, help="comma-separated word list")
             p.add_argument("--target-class", default="novel", choices=[l.value for l in Label])
+        p.add_argument("--out", dest="output_dir")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         config = _build_config(args)
-        try:
-            config.tm_params()
-        except ValueError as err:
-            raise ValidationError(str(err)) from None
-        with _output_lock(_outdir(config)):
-            save_config(config, _outdir(config) / "run_config.txt")
-            if args.command == "ingest":
-                cmd_ingest(config)
-            elif args.command == "train":
-                cmd_train(config)
-            elif args.command == "describe":
-                cmd_describe(config)
-            elif args.command == "context":
-                words = [w for w in args.words.split(",") if w]
-                cmd_context(config, words, Label.parse(args.target_class))
-            elif args.command == "tfidf":
-                cmd_tfidf(config)
-            elif args.command == "eval":
-                cmd_eval(config)
+        outdir = _outdir(config)
+        run, _, settings = STAGES[args.command]
+        with _output_lock(outdir):
+            if args.command == "context":
+                run(config, args.words, Label.parse(args.target_class))
+            else:
+                run(config)
+            if settings:
+                atomic_write_text(outdir / f"{args.command}_config.txt", serialize_config(config, settings))
     except (ValidationError, MissingInputError) as err:
         print(f"error: {err}", file=sys.stderr)
         return err.exit_code

@@ -8,10 +8,9 @@ makes configs safe to check into experiment directories.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Iterable
 from dataclasses import dataclass
-from pathlib import Path
 
-from ._files import atomic_write_text
 from .tsetlin import TMParams
 
 # Hyperparameter profiles: the published full-scale settings and a
@@ -107,19 +106,16 @@ def _coerce(key: str, value: str, type_hint: str | type) -> object:
     return value
 
 
-def serialize_config(config: RunConfig) -> str:
+def serialize_config(config: RunConfig, names: Iterable[str]) -> str:
+    """``key = value`` lines for the named settings, sorted by key."""
     lines = []
-    for f in sorted(dataclasses.fields(config), key=lambda f: f.name):
-        value = getattr(config, f.name)
+    for name in sorted(names):
+        value = getattr(config, name)
         if value is None:
             rendered = "none"
         elif isinstance(value, bool):
             rendered = "true" if value else "false"
         else:
             rendered = str(value)
-        lines.append(f"{f.name} = {rendered}\n")
+        lines.append(f"{name} = {rendered}\n")
     return "".join(lines)
-
-
-def save_config(config: RunConfig, path: str | Path) -> None:
-    atomic_write_text(path, serialize_config(config))

@@ -227,17 +227,23 @@ def corpus_stats(labeled_docs: Sequence[tuple[Label, Sequence[str]]]) -> CorpusS
 RawDoc = tuple[str, Label, str]
 
 
-def read_class_dirs(known_dir: str | Path, novel_dir: str | Path) -> list[RawDoc]:
-    """Read the two-directory layout: one UTF-8 text file per document."""
+def _read_dirs(dirs: Sequence[tuple[str, Label, Path]], what: str) -> list[RawDoc]:
+    """One document per file of each (id prefix, label, directory), files in name order."""
     docs: list[RawDoc] = []
-    for label, root in ((Label.KNOWN, Path(known_dir)), (Label.NOVEL, Path(novel_dir))):
-        if not root.is_dir():
-            raise FileNotFoundError(f"corpus directory not found: {root}")
-        for path in sorted(p for p in root.iterdir() if p.is_file()):
-            docs.append((f"{label.value}/{path.name}", label, path.read_text("utf-8", errors="replace")))
+    for prefix, label, directory in dirs:
+        if not directory.is_dir():
+            raise FileNotFoundError(f"{what} not found: {directory}")
+        for path in sorted(p for p in directory.iterdir() if p.is_file()):
+            docs.append((f"{prefix}/{path.name}", label, path.read_text("utf-8", errors="replace")))
     if not docs:
         raise ValueError("empty corpus")
     return docs
+
+
+def read_class_dirs(known_dir: str | Path, novel_dir: str | Path) -> list[RawDoc]:
+    """Read the two-directory layout: one UTF-8 text file per document."""
+    dirs = ((Label.KNOWN, known_dir), (Label.NOVEL, novel_dir))
+    return _read_dirs([(label.value, label, Path(d)) for label, d in dirs], "corpus directory")
 
 
 def read_grouped_dirs(
@@ -253,17 +259,12 @@ def read_grouped_dirs(
     rootp = Path(root)
     if not rootp.is_dir():
         raise FileNotFoundError(f"corpus root not found: {rootp}")
-    docs: list[RawDoc] = []
-    for label, groups in ((Label.KNOWN, known_groups), (Label.NOVEL, novel_groups)):
-        for group in groups:
-            gdir = rootp / group
-            if not gdir.is_dir():
-                raise FileNotFoundError(f"group directory not found: {gdir}")
-            for path in sorted(p for p in gdir.iterdir() if p.is_file()):
-                docs.append((f"{group}/{path.name}", label, path.read_text("utf-8", errors="replace")))
-    if not docs:
-        raise ValueError("empty corpus")
-    return docs
+    dirs = [
+        (group, label, rootp / group)
+        for label, groups in ((Label.KNOWN, known_groups), (Label.NOVEL, novel_groups))
+        for group in groups
+    ]
+    return _read_dirs(dirs, "group directory")
 
 
 def read_csv_corpus(path: str | Path) -> list[RawDoc]:

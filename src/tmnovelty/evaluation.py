@@ -164,9 +164,6 @@ class LogisticModel:
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         return sigmoid(self._transform(features) @ self.weights + self.bias)
 
-    def predict(self, features: np.ndarray) -> np.ndarray:
-        return self.predict_proba(features) >= 0.5
-
 
 def fit_logistic(
     features: np.ndarray,

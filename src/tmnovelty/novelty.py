@@ -168,13 +168,13 @@ class ClauseCooccurrence:
 def cooccurrence(
     clauses: Sequence[ExtractedClause],
     label: Label,
-    clause_count: int | None = None,
+    clause_count: int,
 ) -> ClauseCooccurrence:
     """Count pairwise plain-word co-membership over one group's clauses.
 
-    ``clause_count`` defaults to the number of the group's clauses present in
-    the input; pass the model's pool size to count omitted empty clauses in
-    the denominator.
+    ``clause_count`` is the group's clause pool size, the denominator of
+    every pair probability; it counts the empty clauses that extraction
+    omits.
     """
     group = [c for c in clauses if c.label is label]
     pairs: Counter[tuple[str, str]] = Counter()
@@ -183,12 +183,11 @@ def cooccurrence(
         words = sorted(clause.plain_words)
         singles.update(words)
         pairs.update(combinations(words, 2))
-    m = clause_count if clause_count is not None else len(group)
     return ClauseCooccurrence(
         label=label,
         pair_counts=dict(pairs),
         word_counts=dict(singles),
-        clause_count=m,
+        clause_count=clause_count,
     )
 
 

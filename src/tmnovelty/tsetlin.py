@@ -366,13 +366,8 @@ def _header_field(mapping: object, key: str, kind: type | tuple[type, ...], path
     return value
 
 
-def classify(model: TMModel, bits: np.ndarray) -> Label:
-    """Pick the class with the larger vote sum; ties go to KNOWN."""
-    return Label.NOVEL if classify_batch(model, bits[None, :])[0] else Label.KNOWN
-
-
 def classify_batch(model: TMModel, bits_matrix: np.ndarray) -> np.ndarray:
-    """Vectorized classify over a (docs, features) matrix; True = NOVEL."""
+    """Per row of a (docs, features) matrix, True = NOVEL: the larger vote sum wins, ties go to KNOWN."""
     not_packed = pack_bits(~literal_vector(bits_matrix))
     sums = {label: bank.vote_sum(bank.fired(not_packed, EvalMode.INFERENCE)) for label, bank in model.banks.items()}
     return sums[Label.NOVEL] > sums[Label.KNOWN]

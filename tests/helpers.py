@@ -1,6 +1,7 @@
 """Shared fixtures: the sports case-study clauses, a hand-set model,
-single-clause forms of the clause bank's evaluation and feedback, and a
-per-row clause extraction oracle."""
+single-clause forms of the clause bank's evaluation and feedback, a
+per-row clause extraction oracle, and single-document forms of
+classification and logistic prediction."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from typing import Sequence
 import numpy as np
 
 from tmnovelty.corpus import Label, Vocabulary
+from tmnovelty.evaluation import LogisticModel
 from tmnovelty.tsetlin import (
     ClauseBank,
     EvalMode,
@@ -18,6 +20,7 @@ from tmnovelty.tsetlin import (
     TMModel,
     TMParams,
     _bernoulli_positions,
+    classify_batch,
     literal_vector,
     pack_bits,
 )
@@ -135,6 +138,16 @@ class ClassSum:
 
     clamped: int
     raw: int
+
+
+def classify(model: TMModel, bits: np.ndarray) -> Label:
+    """One document's class: the one with the larger vote sum; ties go to KNOWN."""
+    return Label.NOVEL if classify_batch(model, bits[None, :])[0] else Label.KNOWN
+
+
+def predict(model: LogisticModel, features: np.ndarray) -> np.ndarray:
+    """Hard logistic decisions: True where the fitted probability is at least 0.5."""
+    return model.predict_proba(features) >= 0.5
 
 
 def class_sum(model: TMModel, bits: np.ndarray, label: Label, mode: EvalMode = EvalMode.INFERENCE) -> ClassSum:

@@ -394,14 +394,13 @@ def test_c8_real_dataset_smoke(tmp_path, env_var, known_groups, novel_groups):
     root = os.environ.get(env_var)
     if not root:
         pytest.skip(f"{env_var} not set; real-dataset smoke run needs the dataset on disk")
-    out = tmp_path / "smoke"
-    base = [
-        "--data-root", root,
-        "--known-groups", known_groups,
-        "--novel-groups", novel_groups,
-        "--profile", "full",
-        "--epochs", "1",  # smoke: one pass through the full-size clause pools
-        "--out", str(out),
-    ]
-    for command in ("ingest", "train", "describe", "tfidf", "eval"):
-        assert main([command, *base]) == EXIT_OK, command
+    out = ["--out", str(tmp_path / "smoke")]
+    stages = {
+        "ingest": ["--data-root", root, "--known-groups", known_groups, "--novel-groups", novel_groups],
+        "train": ["--profile", "full", "--epochs", "1"],  # smoke: one pass through the full-size clause pools
+        "describe": [],
+        "tfidf": [],
+        "eval": [],
+    }
+    for command, flags in stages.items():
+        assert main([command, *flags, *out]) == EXIT_OK, command

@@ -1,16 +1,20 @@
 """End-to-end pipeline, exit codes, idempotence, and config round-trips."""
 
+import dataclasses
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tmnovelty.cli import EXIT_MISSING, EXIT_OK, EXIT_VALIDATION, main
+from tmnovelty.cli import EXIT_MISSING, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from tmnovelty.config import RunConfig, parse_config, serialize_config
-from tmnovelty.corpus import Label, Vocabulary, read_vocabulary, write_tokens, write_vocabulary
+from tmnovelty.corpus import Label, Vocabulary, read_tokens, read_vocabulary, write_tokens, write_vocabulary
 
 from helpers import CASE_STUDY_WORDS, case_study_model, case_study_vocab
 
@@ -44,23 +48,21 @@ def corpus_dirs(tmp_path):
     return known, novel
 
 
-def args(out, *extra):
-    return [*extra, "--out", str(out)]
+TRAIN_PARAMS = ["--clauses", "16", "--vote-margin", "5", "--sensitivity", "3.0", "--state-count", "16"]
+
+
+def corpus_flags(corpus_dirs):
+    known, novel = corpus_dirs
+    return ["--known-dir", str(known), "--novel-dir", str(novel)]
 
 
 def run_pipeline(tmp_path, corpus_dirs, seed="7"):
-    known, novel = corpus_dirs
     out = tmp_path / "out"
-    base = [
-        "--known-dir", str(known), "--novel-dir", str(novel),
-        "--clauses", "16", "--vote-margin", "5", "--sensitivity", "3.0",
-        "--state-count", "16", "--epochs", "10", "--seed", seed,
-    ]
-    assert main(["ingest", *base, "--out", str(out)]) == EXIT_OK
-    assert main(["train", *base, "--out", str(out)]) == EXIT_OK
-    assert main(["describe", *base, "--out", str(out)]) == EXIT_OK
-    assert main(["tfidf", *base, "--out", str(out)]) == EXIT_OK
-    assert main(["eval", *base, "--out", str(out)]) == EXIT_OK
+    assert main(["ingest", *corpus_flags(corpus_dirs), "--out", str(out)]) == EXIT_OK
+    assert main(["train", *TRAIN_PARAMS, "--epochs", "10", "--seed", seed, "--out", str(out)]) == EXIT_OK
+    assert main(["describe", "--out", str(out)]) == EXIT_OK
+    assert main(["tfidf", "--out", str(out)]) == EXIT_OK
+    assert main(["eval", "--seed", seed, "--out", str(out)]) == EXIT_OK
     return out
 
 
@@ -82,14 +84,7 @@ class TestPipeline:
 
     def test_context_command(self, tmp_path, corpus_dirs):
         out = run_pipeline(tmp_path, corpus_dirs)
-        known, novel = corpus_dirs
-        code = main([
-            "context", "--known-dir", str(known), "--novel-dir", str(novel),
-            "--clauses", "16", "--vote-margin", "5", "--sensitivity", "3.0",
-            "--state-count", "16", "--epochs", "10", "--seed", "7",
-            "--words", "rugby,cricket", "--target-class", "novel",
-            "--out", str(out),
-        ])
+        code = main(["context", "--words", "rugby,cricket", "--target-class", "novel", "--out", str(out)])
         assert code == EXIT_OK
         matrix = (out / "context_novel.csv").read_text("utf-8").splitlines()
         assert matrix[0] == "word,rugby,cricket"
@@ -102,25 +97,22 @@ class TestPipeline:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
     def test_rerun_rewrites_byte_identical_outputs(self, tmp_path, corpus_dirs):
-        known, novel = corpus_dirs
         out = run_pipeline(tmp_path, corpus_dirs)
         before = (out / "model.tm").read_bytes()
-        base = [
-            "--known-dir", str(known), "--novel-dir", str(novel),
-            "--clauses", "16", "--vote-margin", "5", "--sensitivity", "3.0",
-            "--state-count", "16", "--epochs", "10", "--seed", "7",
-        ]
-        assert main(["train", *base, "--out", str(out)]) == EXIT_OK
+        assert main(["train", *TRAIN_PARAMS, "--epochs", "10", "--seed", "7", "--out", str(out)]) == EXIT_OK
         assert (out / "model.tm").read_bytes() == before
 
 
 def small_run(tmp_path, corpus_dirs):
-    known, novel = corpus_dirs
-    return [
-        "--known-dir", str(known), "--novel-dir", str(novel),
-        "--clauses", "16", "--vote-margin", "5", "--sensitivity", "3.0",
-        "--state-count", "16", "--epochs", "2", "--seed", "1", "--out", str(tmp_path / "out"),
-    ]
+    """Each stage's flags for a small run into tmp_path/out."""
+    out = ["--out", str(tmp_path / "out")]
+    return {
+        "ingest": [*corpus_flags(corpus_dirs), *out],
+        "train": [*TRAIN_PARAMS, "--epochs", "2", "--seed", "1", *out],
+        "describe": out,
+        "tfidf": out,
+        "eval": ["--seed", "1", *out],
+    }
 
 
 def one_line_error(capsys) -> str:
@@ -132,11 +124,9 @@ def one_line_error(capsys) -> str:
 
 class TestExitCodes:
     def test_eval_without_model_is_missing_input(self, tmp_path, corpus_dirs, capsys):
-        known, novel = corpus_dirs
         out = tmp_path / "out"
-        base = ["--known-dir", str(known), "--novel-dir", str(novel), "--out", str(out)]
-        assert main(["ingest", *base]) == EXIT_OK
-        code = main(["eval", *base])
+        assert main(["ingest", *corpus_flags(corpus_dirs), "--out", str(out)]) == EXIT_OK
+        code = main(["eval", "--out", str(out)])
         assert code == EXIT_MISSING
         assert "model not found" in capsys.readouterr().err
 
@@ -157,11 +147,9 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
 
     def test_bad_params_are_validation_error(self, tmp_path, corpus_dirs):
-        known, novel = corpus_dirs
-        code = main([
-            "ingest", "--known-dir", str(known), "--novel-dir", str(novel),
-            "--clauses", "7", "--out", str(tmp_path / "out"),
-        ])
+        out = ["--out", str(tmp_path / "out")]
+        assert main(["ingest", *corpus_flags(corpus_dirs), *out]) == EXIT_OK
+        code = main(["train", "--clauses", "7", *out])
         assert code == EXIT_VALIDATION
 
     @pytest.mark.parametrize(
@@ -175,7 +163,7 @@ class TestExitCodes:
     )
     def test_scoring_variants_are_rejected(self, tmp_path, corpus_dirs, capsys, setting, flag):
         # Scoring has one definition, the paper's; no setting selects another.
-        base = small_run(tmp_path, corpus_dirs)
+        base = small_run(tmp_path, corpus_dirs)["eval"]
         config = tmp_path / "run.cfg"
         config.write_text(f"{setting}\n", "utf-8")
         assert main(["eval", *base, "--config", str(config)]) == EXIT_VALIDATION
@@ -198,23 +186,23 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_max_features_below_one_is_validation_error(self, tmp_path, corpus_dirs, capsys, value):
-        base = small_run(tmp_path, corpus_dirs)
+        base = small_run(tmp_path, corpus_dirs)["ingest"]
         assert main(["ingest", *base, "--max-features", value]) == EXIT_VALIDATION
         assert "max_features" in one_line_error(capsys)
         assert not (tmp_path / "out" / "vocabulary.txt").exists()
 
     def test_state_count_beyond_int16_is_validation_error(self, tmp_path, corpus_dirs, capsys):
-        base = small_run(tmp_path, corpus_dirs)
-        assert main(["ingest", *base]) == EXIT_OK
+        run = small_run(tmp_path, corpus_dirs)
+        assert main(["ingest", *run["ingest"]]) == EXIT_OK
         capsys.readouterr()
-        assert main(["train", *base, "--state-count", "16384"]) == EXIT_VALIDATION
+        assert main(["train", *run["train"], "--state-count", "16384"]) == EXIT_VALIDATION
         assert "state_count" in one_line_error(capsys)
         assert not (tmp_path / "out" / "model.tm").exists()
 
     @pytest.mark.parametrize("bad_bit", ["-1", "vocab_size", "x"])
     def test_train_rejects_bad_bit_index(self, tmp_path, corpus_dirs, capsys, bad_bit):
-        base = small_run(tmp_path, corpus_dirs)
-        assert main(["ingest", *base]) == EXIT_OK
+        run = small_run(tmp_path, corpus_dirs)
+        assert main(["ingest", *run["ingest"]]) == EXIT_OK
         capsys.readouterr()
         out = tmp_path / "out"
         if bad_bit == "vocab_size":
@@ -223,23 +211,17 @@ class TestExitCodes:
         doc_id, label, _ = lines[1].split(",")
         lines[1] = f"{doc_id},{label},0;{bad_bit}\n"
         (out / "booldocs.csv").write_text("".join(lines), "utf-8")
-        assert main(["train", *base]) == EXIT_VALIDATION
+        assert main(["train", *run["train"]]) == EXIT_VALIDATION
         assert repr(doc_id) in one_line_error(capsys)
         assert not (out / "model.tm").exists()
 
     def test_vocab_hash_mismatch(self, tmp_path, corpus_dirs, capsys):
-        known, novel = corpus_dirs
-        out = tmp_path / "out"
-        base = [
-            "--known-dir", str(known), "--novel-dir", str(novel),
-            "--clauses", "16", "--vote-margin", "5", "--sensitivity", "3.0",
-            "--state-count", "16", "--epochs", "2", "--seed", "1", "--out", str(out),
-        ]
-        assert main(["ingest", *base]) == EXIT_OK
-        assert main(["train", *base]) == EXIT_OK
+        run = small_run(tmp_path, corpus_dirs)
+        assert main(["ingest", *run["ingest"]]) == EXIT_OK
+        assert main(["train", *run["train"]]) == EXIT_OK
         # Re-ingest with a different vocabulary (higher min_df) under the same dir.
-        assert main(["ingest", *base, "--min-df", "4"]) == EXIT_OK
-        code = main(["describe", *base])
+        assert main(["ingest", *run["ingest"], "--min-df", "4"]) == EXIT_OK
+        code = main(["describe", *run["describe"]])
         assert code == EXIT_VALIDATION
         assert "hash mismatch" in capsys.readouterr().err
 
@@ -336,14 +318,14 @@ CSV_DAMAGE = {
 
 @pytest.mark.parametrize("stage,name,edit", CSV_DAMAGE.values(), ids=CSV_DAMAGE.keys())
 def test_stage_rejects_damaged_csv(tmp_path, corpus_dirs, capsys, stage, name, edit):
-    base = small_run(tmp_path, corpus_dirs)
+    run = small_run(tmp_path, corpus_dirs)
     out = tmp_path / "out"
-    assert main(["ingest", *base]) == EXIT_OK
+    assert main(["ingest", *run["ingest"]]) == EXIT_OK
     if stage == "eval":
-        assert main(["train", *base]) == EXIT_OK
+        assert main(["train", *run["train"]]) == EXIT_OK
     capsys.readouterr()
     (out / name).write_text(edit((out / name).read_text("utf-8")), "utf-8")
-    assert main([stage, *base]) == EXIT_VALIDATION
+    assert main([stage, *run[stage]]) == EXIT_VALIDATION
     assert name in one_line_error(capsys)
 
 
@@ -376,20 +358,191 @@ NON_UTF8_INPUTS = {
 
 @pytest.mark.parametrize("stage,name", NON_UTF8_INPUTS.values(), ids=NON_UTF8_INPUTS.keys())
 def test_non_utf8_input_names_the_file(tmp_path, corpus_dirs, capsys, stage, name):
-    base = small_run(tmp_path, corpus_dirs)
+    run = small_run(tmp_path, corpus_dirs)
     out = tmp_path / "out"
-    assert main(["ingest", *base]) == EXIT_OK
+    assert main(["ingest", *run["ingest"]]) == EXIT_OK
     if stage == "describe":
-        assert main(["train", *base]) == EXIT_OK
+        assert main(["train", *run["train"]]) == EXIT_OK
     (tmp_path / "stop.txt").write_text("the\na\n", "utf-8")
     (tmp_path / "run.cfg").write_text("seed = 1\n", "utf-8")
     target = (tmp_path if name in ("stop.txt", "run.cfg") else out) / name
     _insert_non_utf8(target)
     capsys.readouterr()
     extra = {"stop.txt": ["--stoplist", str(target)], "run.cfg": ["--config", str(target)]}.get(name, [])
-    assert main([stage, *base, *extra]) == EXIT_VALIDATION
+    assert main([stage, *run[stage], *extra]) == EXIT_VALIDATION
     err = one_line_error(capsys)
     assert name in err and "not UTF-8" in err
+
+
+# The flags each stage's --help lists besides -h: 32 stage x flag pairs.
+STAGE_FLAGS = {
+    "ingest": {
+        "--config", "--out", "--known-dir", "--novel-dir", "--data-root", "--known-groups",
+        "--novel-groups", "--csv-path", "--stoplist", "--no-stemming", "--min-df", "--max-features",
+    },
+    "train": {
+        "--config", "--out", "--profile", "--clauses", "--vote-margin", "--sensitivity",
+        "--state-count", "--epochs", "--seed",
+    },
+    "describe": {"--config", "--out"},
+    "context": {"--config", "--out", "--words", "--target-class"},
+    "tfidf": {"--config", "--out"},
+    "eval": {"--config", "--out", "--seed"},
+}
+
+
+class TestStageFlags:
+    @pytest.mark.parametrize("stage", STAGE_FLAGS)
+    def test_help_lists_only_the_stage_flags(self, capsys, stage):
+        with pytest.raises(SystemExit) as exited:
+            main([stage, "--help"])
+        assert exited.value.code == 0
+        assert set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"} == STAGE_FLAGS[stage]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["describe", "--clauses", "16"],
+            ["tfidf", "--known-dir", "x"],
+            ["ingest", "--epochs", "3"],
+            ["eval", "--profile", "desk"],
+            ["context", "--words", "rugby", "--seed", "1"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_flag_of_another_stage_exits_2(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            main([*argv, "--out", str(tmp_path / "out")])
+        assert exited.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def snapshot(out):
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+class TestStageRecord:
+    @pytest.fixture()
+    def recorded_run(self, tmp_path, corpus_dirs):
+        out = tmp_path / "out"
+        stages = {
+            "ingest": corpus_flags(corpus_dirs),
+            "train": ["--profile", "desk", "--clauses", "16", "--epochs", "5"],
+            "describe": [],
+            "eval": ["--seed", "1"],
+        }
+        for stage, flags in stages.items():
+            assert main([stage, *flags, "--out", str(out)]) == EXIT_OK, stage
+        return out
+
+    def test_each_stage_records_only_its_settings(self, recorded_run, corpus_dirs):
+        known, novel = corpus_dirs
+        assert sorted(p.name for p in recorded_run.glob("*config.txt")) == [
+            "eval_config.txt", "ingest_config.txt", "train_config.txt",
+        ]
+        # describe ran after train and left the train record alone.
+        assert (recorded_run / "train_config.txt").read_text("utf-8") == (
+            "clauses = 16\nepochs = 5\nseed = 0\nsensitivity = 5.0\nstate_count = 128\nvote_margin = 15\n"
+        )
+        assert (recorded_run / "eval_config.txt").read_text("utf-8") == "seed = 1\n"
+        assert (recorded_run / "ingest_config.txt").read_text("utf-8") == (
+            "csv_path = none\ndata_root = none\nknown_dir = {}\nknown_groups = none\n"
+            "max_features = none\nmin_df = 1\nnovel_dir = {}\nnovel_groups = none\n"
+            "stemming = true\nstoplist_path = none\n".format(known, novel)
+        )
+
+    @pytest.mark.parametrize("stage", ["ingest", "train", "eval"])
+    def test_rerun_from_record_is_byte_identical(self, recorded_run, stage):
+        before = snapshot(recorded_run)
+        record = recorded_run / f"{stage}_config.txt"
+        assert main([stage, "--config", str(record), "--out", str(recorded_run)]) == EXIT_OK
+        assert snapshot(recorded_run) == before
+
+    @pytest.mark.parametrize(
+        "stage,flags,damaged",
+        [
+            ("train", ["--clauses", "32"], "booldocs.csv"),
+            ("eval", ["--seed", "2"], "tokens.csv"),
+        ],
+        ids=["train", "eval"],
+    )
+    def test_failed_stage_writes_no_record(self, recorded_run, capsys, stage, flags, damaged):
+        path = recorded_run / damaged
+        path.write_text(path.read_text("utf-8") + "lonely\n", "utf-8")
+        before = snapshot(recorded_run)
+        capsys.readouterr()
+        assert main([stage, *flags, "--out", str(recorded_run)]) == EXIT_VALIDATION
+        one_line_error(capsys)
+        assert snapshot(recorded_run) == before
+
+
+@pytest.fixture()
+def grouped_root(tmp_path):
+    """A folder-per-topic tree in the BBC Sport layout; tennis is never selected."""
+    root = tmp_path / "bbcsport"
+    texts = {
+        "cricket": ["england hit six in the cricket match", "a cricket wicket and six runs"],
+        "football": ["the football match ended in a goal", "a late football goal won it"],
+        "rugby": ["rugby scrum despite the old ball", "old rugby match despite rain"],
+        "tennis": ["a tennis serve won the set"],
+    }
+    for group, docs in texts.items():
+        (root / group).mkdir(parents=True)
+        for i, text in enumerate(docs):
+            (root / group / f"{i:03d}.txt").write_text(text, "utf-8")
+    return root
+
+
+def grouped_ingest(root, out, known="football;cricket", novel="rugby"):
+    return main([
+        "ingest", "--data-root", str(root), "--known-groups", known, "--novel-groups", novel, "--out", str(out),
+    ])
+
+
+class TestGroupedLayout:
+    def test_doc_ids_and_group_labels(self, tmp_path, grouped_root):
+        out = tmp_path / "out"
+        assert grouped_ingest(grouped_root, out) == EXIT_OK
+        assert [(doc_id, label) for doc_id, label, _ in read_tokens(out / "tokens.csv")] == [
+            ("football/000.txt", Label.KNOWN),
+            ("football/001.txt", Label.KNOWN),
+            ("cricket/000.txt", Label.KNOWN),
+            ("cricket/001.txt", Label.KNOWN),
+            ("rugby/000.txt", Label.NOVEL),
+            ("rugby/001.txt", Label.NOVEL),
+        ]
+
+    def test_missing_group_directory_is_missing_input(self, tmp_path, grouped_root, capsys):
+        out = tmp_path / "out"
+        assert grouped_ingest(grouped_root, out, known="cricket;hockey") == EXIT_MISSING
+        assert f"group directory not found: {grouped_root / 'hockey'}" in one_line_error(capsys)
+        assert not (out / "tokens.csv").exists()
+
+    @pytest.mark.parametrize("known,novel", [("", "rugby"), (";", "rugby"), ("cricket", "")])
+    def test_empty_group_list_is_validation_error(self, tmp_path, grouped_root, capsys, known, novel):
+        out = tmp_path / "out"
+        assert grouped_ingest(grouped_root, out, known=known, novel=novel) == EXIT_VALIDATION
+        assert "known_groups and novel_groups" in one_line_error(capsys)
+        assert not (out / "tokens.csv").exists()
+
+
+def test_readme_commands_parse():
+    """Every ``tmnovelty`` line of the README's sh blocks parses, and together they cover every stage."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    commands = [
+        shlex.split(line, comments=True)
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+        for line in block.splitlines()
+        if line.startswith("tmnovelty ")
+    ]
+    assert {argv[1] for argv in commands} == set(STAGE_FLAGS)
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command does not parse: {shlex.join(argv)}")
 
 
 class TestCaseStudyGolden:
@@ -429,9 +582,10 @@ class TestCaseStudyGolden:
 class TestConfigRoundTrip:
     def test_parse_serialize_parse_identity(self):
         config = RunConfig(known_dir="/tmp/k", clauses=128, sensitivity=4.5, stemming=False)
-        text = serialize_config(config)
+        names = [f.name for f in dataclasses.fields(RunConfig)]
+        text = serialize_config(config, names)
         assert parse_config(text) == config
-        assert serialize_config(parse_config(text)) == text
+        assert serialize_config(parse_config(text), names) == text
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):

@@ -48,8 +48,8 @@ def finished_run(tmp_path_factory):
     corpus = ["--known-dir", str(root / "known"), "--novel-dir", str(root / "novel")]
     out = root / "out"
     with contextlib.redirect_stdout(io.StringIO()):
-        for stage in ("ingest", "train"):
-            assert main([stage, *corpus, *PARAMS, "--out", str(out)]) == EXIT_OK
+        assert main(["ingest", *corpus, "--out", str(out)]) == EXIT_OK
+        assert main(["train", *PARAMS, "--out", str(out)]) == EXIT_OK
     return out
 
 

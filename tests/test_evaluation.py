@@ -20,7 +20,7 @@ from tmnovelty.evaluation import (
 )
 from tmnovelty.novelty import WordBags, build_word_bags
 
-from helpers import case_study_clauses
+from helpers import case_study_clauses, predict
 
 
 class TestCategorizeWords:
@@ -90,7 +90,7 @@ class TestFitLogistic:
         targets = np.array([0.0, 1.0])
         model = fit_logistic(features, targets)
         assert model.weights[0] > 0
-        assert np.array_equal(model.predict(features), np.array([False, True]))
+        assert np.array_equal(predict(model, features), np.array([False, True]))
 
     def test_identical_features_predict_prior(self):
         features = np.ones((10, 2))
@@ -111,7 +111,7 @@ class TestFitLogistic:
         features = np.vstack([x0, x1])
         targets = np.array([0.0] * n + [1.0] * n)
         model = fit_logistic(features, targets)
-        accuracy = np.mean(model.predict(features) == targets.astype(bool))
+        accuracy = np.mean(predict(model, features) == targets.astype(bool))
         assert accuracy >= 0.95
 
     def test_single_class_rejected(self):

@@ -244,17 +244,17 @@ class TestScoreDocument:
 
 class TestCooccurrence:
     def test_case_study_rugby_old_pair(self):
-        co = cooccurrence(case_study_clauses(), Label.NOVEL)
+        co = cooccurrence(case_study_clauses(), Label.NOVEL, clause_count=4)
         # Counted by hand over the four novel clauses.
         assert co.pair_count("rugby", "old") == 2
         assert co.clause_count == 4
 
     def test_disjoint_pair_counts_zero(self):
-        co = cooccurrence(case_study_clauses(), Label.NOVEL)
+        co = cooccurrence(case_study_clauses(), Label.NOVEL, clause_count=4)
         assert co.pair_count("despite", "ball") == 0
 
     def test_self_pair_equals_word_count(self):
-        co = cooccurrence(case_study_clauses(), Label.NOVEL)
+        co = cooccurrence(case_study_clauses(), Label.NOVEL, clause_count=4)
         assert co.pair_count("rugby", "rugby") == 2  # both novel for-votes contain rugby
 
     def test_explicit_clause_count_override(self):
@@ -267,7 +267,7 @@ class TestContextualScore:
     def setup(self):
         clauses = case_study_clauses()
         table = novelty_scores(build_word_bags(clauses))
-        co = cooccurrence(clauses, Label.NOVEL)
+        co = cooccurrence(clauses, Label.NOVEL, clause_count=4)
         return co, table
 
     def test_pair_sharing_clauses_beats_disjoint_pair(self, setup):

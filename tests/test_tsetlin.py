@@ -16,7 +16,6 @@ from tmnovelty.tsetlin import (
     TMModel,
     TMParams,
     _bernoulli_positions,
-    classify,
     classify_batch,
     extract_clauses,
     fit,
@@ -29,6 +28,7 @@ from helpers import (
     case_study_model,
     case_study_vocab,
     class_sum,
+    classify,
     clause_eval,
     extract_clauses_by_row,
     set_clause,
