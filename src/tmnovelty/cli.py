@@ -109,22 +109,35 @@ def _outdir(config: RunConfig) -> Path:
 
 
 def _load_raw_corpus(config: RunConfig) -> list[corpus_mod.RawDoc]:
+    """The one configured corpus source, read; its doc ids must be distinct."""
+    given = {"csv_path": config.csv_path, "data_root": config.data_root,
+             "known_dir/novel_dir": config.known_dir or config.novel_dir}
+    sources = [name for name, value in given.items() if value]
+    if len(sources) > 1:
+        raise ValidationError(f"more than one corpus source: {', '.join(sources)} (set only one)")
     try:
         if config.csv_path:
-            return corpus_mod.read_csv_corpus(config.csv_path)
-        if config.data_root:
+            raw = corpus_mod.read_csv_corpus(config.csv_path)
+        elif config.data_root:
             known = [g for g in (config.known_groups or "").split(";") if g]
             novel = [g for g in (config.novel_groups or "").split(";") if g]
             if not known or not novel:
                 raise ValidationError("data_root requires known_groups and novel_groups")
-            return corpus_mod.read_grouped_dirs(config.data_root, known, novel)
-        if config.known_dir and config.novel_dir:
-            return corpus_mod.read_class_dirs(config.known_dir, config.novel_dir)
+            raw = corpus_mod.read_grouped_dirs(config.data_root, known, novel)
+        elif config.known_dir and config.novel_dir:
+            raw = corpus_mod.read_class_dirs(config.known_dir, config.novel_dir)
+        else:
+            raise ValidationError("no corpus source configured (need known_dir+novel_dir, data_root, or csv_path)")
     except FileNotFoundError as err:
         raise MissingInputError(str(err)) from None
     except ValueError as err:
         raise ValidationError(str(err)) from None
-    raise ValidationError("no corpus source configured (need known_dir+novel_dir, data_root, or csv_path)")
+    seen: set[str] = set()
+    for doc_id, _, _ in raw:
+        if doc_id in seen:
+            raise ValidationError(f"duplicate doc id in the corpus: {doc_id!r}")
+        seen.add(doc_id)
+    return raw
 
 
 def _require(path: Path, what: str) -> Path:
@@ -145,13 +158,12 @@ def _read_model(outdir: Path, vocab: corpus_mod.Vocabulary) -> tsetlin.TMModel:
 
 
 def _score_table(vocab: corpus_mod.Vocabulary, model: tsetlin.TMModel):
-    clauses = tsetlin.extract_clauses(model, vocab)
-    bags = novelty.build_word_bags(clauses)
+    bags = novelty.build_word_bags(model, vocab)
     try:
         table = novelty.novelty_scores(bags)
     except ValueError as err:
         raise ValidationError(str(err)) from None
-    return clauses, bags, table
+    return bags, table
 
 
 # -- commands ----------------------------------------------------------------
@@ -201,7 +213,7 @@ def cmd_describe(config: RunConfig) -> None:
     outdir = _outdir(config)
     vocab = _read_vocab(outdir)
     model = _read_model(outdir, vocab)
-    _, bags, table = _score_table(vocab, model)
+    bags, table = _score_table(vocab, model)
     novelty.write_score_table(bags, table, outdir / "score_table.csv")
     print(f"describe: {len(table)} scored words "
           f"(bag totals {bags.total_known}/{bags.total_novel})")
@@ -214,11 +226,12 @@ def cmd_context(config: RunConfig, word_list: str, target_class: Label) -> None:
     outdir = _outdir(config)
     vocab = _read_vocab(outdir)
     model = _read_model(outdir, vocab)
-    clauses, _, table = _score_table(vocab, model)
-    co = novelty.cooccurrence(clauses, target_class, clause_count=model.params.clause_count)
+    _, table = _score_table(vocab, model)
     missing = [w for w in words if w not in table]
     if missing:
         raise ValidationError(f"words not scored by the model: {', '.join(missing)}")
+    clauses = tsetlin.extract_clauses(model, vocab)
+    co = novelty.cooccurrence(clauses, target_class, clause_count=model.params.clause_count)
     path = outdir / f"context_{target_class.value}.csv"
     novelty.write_cooccurrence_matrix(co, table, words, path)
     print(f"context: {len(words)}x{len(words)} matrix for class {target_class.value}")
@@ -243,7 +256,7 @@ def cmd_eval(config: RunConfig) -> None:
     token_docs = corpus_mod.read_tokens(_require(outdir / "tokens.csv", "token table"))
     docs = [tokens for _, _, tokens in token_docs]
     labels = [label for _, label, _ in token_docs]
-    _, bags, table = _score_table(vocab, model)
+    bags, table = _score_table(vocab, model)
 
     stats = corpus_mod.corpus_stats(list(zip(labels, docs)))
     tfidf = baseline.tfidf_scores(stats)

@@ -2,15 +2,17 @@
 
 Clause literals are routed into two word bags by class and polarity: plain
 words of for-votes and negated words of against-votes characterize the
-clause's own group, everything else characterizes the other group.  A word's
-novelty score is the ratio of its smoothed relative frequency in the novel
-bag to that in the known bag, so scores above 1 lean novel and below 1 lean
-known.  Each bag is summed once, and the whole table is scored in one pass
-over the words.  A document is reduced over its scored token occurrences by
-``reduce_scores``, the one reduction behind both the mean-log ``aggregate``
-column and the logistic document features.  Pair scores divide clause
-co-occurrence probability by the product of the two words' bag frequencies,
-exposing words that the clauses treat as one context.
+clause's own group, everything else characterizes the other group.  The bags
+are summed from per-literal include counts read off the clause states, with
+no clause objects.  A word's novelty score is the ratio of its smoothed
+relative frequency in the novel bag to that in the known bag, so scores
+above 1 lean novel and below 1 lean known.  Each bag is summed once, and the
+whole table is scored in one pass over the words.  A document is reduced
+over its scored token occurrences by ``reduce_scores``, the one reduction
+behind both the mean-log ``aggregate`` column and the logistic document
+features.  Pair scores divide clause co-occurrence probability by the
+product of the two words' bag frequencies, exposing words that the clauses
+treat as one context.
 """
 
 from __future__ import annotations
@@ -24,9 +26,11 @@ from itertools import combinations
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from ._files import atomic_write_text
-from .corpus import Label
-from .tsetlin import ExtractedClause, Polarity
+from .corpus import Label, Vocabulary
+from .tsetlin import ExtractedClause, TMModel
 
 
 @dataclass(frozen=True)
@@ -48,24 +52,24 @@ class WordBags:
         return sorted(set(self.known) | set(self.novel))
 
 
-def build_word_bags(clauses: Sequence[ExtractedClause]) -> WordBags:
-    """Route clause word sets into the known/novel bags with multiplicity.
+def build_word_bags(model: TMModel, vocab: Vocabulary) -> WordBags:
+    """Route every clause's included words into the known/novel bags with multiplicity.
 
     Plain words of a clause describe the group the clause votes for; negated
     words describe the other group.  An against-vote (negative polarity)
-    flips the destination.  Each clause membership counts once.
+    flips the destination.  Each clause membership counts once, so the bags
+    are sums of the banks' per-literal include counts (``include_counts``).
     """
-    bag_known: Counter[str] = Counter()
-    bag_novel: Counter[str] = Counter()
-    for clause in clauses:
-        votes_known = (clause.label is Label.KNOWN) == (clause.polarity is Polarity.POSITIVE)
-        if votes_known:
-            bag_known.update(clause.plain_words)
-            bag_novel.update(clause.negated_words)
-        else:
-            bag_novel.update(clause.plain_words)
-            bag_known.update(clause.negated_words)
-    return WordBags(known=dict(bag_known), novel=dict(bag_novel))
+    if len(vocab) != model.feature_count:
+        raise ValueError("vocabulary size != model feature count")
+    o = model.feature_count
+    bags = np.zeros((2, o), dtype=np.int64)  # known, novel
+    for k, label in enumerate((Label.KNOWN, Label.NOVEL)):
+        for_votes, against_votes = model.banks[label].include_counts()
+        bags[k] += for_votes[:o] + against_votes[o:]
+        bags[1 - k] += for_votes[o:] + against_votes[:o]
+    known, novel = ({w: c for w, c in zip(vocab.words, bag.tolist()) if c} for bag in bags)
+    return WordBags(known=known, novel=novel)
 
 
 def _smoothed(count: int) -> int:

@@ -32,9 +32,11 @@ accuracy pass waits for both.  Either way the states are the same bytes.
 ``TMModel.create`` allocates the model file's image, a header slot followed
 by both banks' states, and the banks' states are views into it: ``save``
 writes the header into the slot and the image straight to disk, and
-``load`` reads the file straight into it.  ``extract_clauses`` turns a
-bank's include actions into word sets with one pass over its included
-literals.
+``load`` reads the file straight into it.  The read side takes a bank's
+include actions a row block at a time (``include_blocks``), so no full
+include mask is built: ``include_counts`` sums them per literal and polarity
+half, and ``extract_clauses`` turns them into word sets with one pass over
+the included literals.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from contextlib import nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -62,7 +64,7 @@ _PARAM_TYPES = {"clause_count": int, "vote_margin": int, "sensitivity": (int, fl
 
 # Longest header line a model file may have.
 _MAX_HEADER_BYTES = 1 << 16
-# Upper bound on the temporaries of one evaluation or feedback block.
+# Upper bound on the temporaries of one evaluation, feedback or read block.
 _BLOCK_BYTES = 1 << 23
 # Banks whose states take more bytes than this apply feedback on worker
 # threads; below it, thread hand-offs cost more than they save (see README).
@@ -170,6 +172,22 @@ class ClauseBank:
     def include_mask(self) -> np.ndarray:
         """Boolean (clauses, literals) matrix of include actions, derived from states."""
         return self.state > self.state_count
+
+    def include_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """The include mask a block of ``_block_rows`` rows at a time: (first row, block)."""
+        for start in range(0, self.clause_count, self._block_rows):
+            yield start, self.state[start : start + self._block_rows] > self.state_count
+
+    def include_counts(self) -> np.ndarray:
+        """(2, literals) counts of the clauses including each literal: positive half, negative half."""
+        half = self.clause_count // 2
+        counts = np.zeros((2, self.literal_count), dtype=np.int64)
+        for start, include in self.include_blocks():
+            cut = min(max(half - start, 0), len(include))
+            # int32 sums take about half the time of int64 ones; a block has < 2**31 rows.
+            counts[0] += include[:cut].sum(axis=0, dtype=np.int32)
+            counts[1] += include[cut:].sum(axis=0, dtype=np.int32)
+        return counts
 
     def _write_rows(self, rows: np.ndarray, block: np.ndarray) -> None:
         """Store new states for the given rows and repack just those rows."""
@@ -487,8 +505,9 @@ def extract_clauses(model: TMModel, vocab: Vocabulary) -> list[ExtractedClause]:
     Clauses with no included literal are omitted.  A word may appear on both
     sides of one clause if training included both the feature and its
     negation; that is surfaced as-is.  Each bank is read in one pass: the
-    flat positions of its included literals, split per clause at row * 2V
-    and row * 2V + V, with position mod V giving the word.
+    flat positions of its included literals, gathered a row block at a time
+    (``include_blocks``), split per clause at row * 2V and row * 2V + V,
+    with position mod V giving the word.
     """
     if len(vocab) != model.feature_count:
         raise ValueError("vocabulary size != model feature count")
@@ -500,7 +519,7 @@ def extract_clauses(model: TMModel, vocab: Vocabulary) -> list[ExtractedClause]:
     marks = np.append((np.arange(clauses)[:, None] * (2 * o) + (0, o)).ravel(), clauses * 2 * o)
     for label in _CLASS_ORDER:
         bank = model.banks[label]
-        included = np.flatnonzero(bank.include_mask())
+        included = np.concatenate([np.flatnonzero(block) + start * 2 * o for start, block in bank.include_blocks()])
         cuts = np.searchsorted(included, marks).tolist()
         names = words[included % o].tolist()
         for j in range(clauses):

@@ -1,10 +1,12 @@
-"""Shared fixtures: the sports case-study clauses, a hand-set model,
-single-clause forms of the clause bank's evaluation and feedback, a
-per-row clause extraction oracle, and single-document forms of
-classification and logistic prediction."""
+"""Shared fixtures: the sports case-study clauses, a hand-set model and a
+model built from any clause list, single-clause forms of the clause bank's
+evaluation and feedback, a per-row clause extraction oracle and a
+clause-list word bag oracle, and single-document forms of classification
+and logistic prediction."""
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -12,6 +14,7 @@ import numpy as np
 
 from tmnovelty.corpus import Label, Vocabulary
 from tmnovelty.evaluation import LogisticModel
+from tmnovelty.novelty import WordBags
 from tmnovelty.tsetlin import (
     ClauseBank,
     EvalMode,
@@ -106,6 +109,54 @@ def extract_clauses_by_row(model: TMModel, vocab: Vocabulary) -> list[ExtractedC
     return out
 
 
+def word_bags_from_clauses(clauses: Sequence[ExtractedClause]) -> WordBags:
+    """Route clause word sets into the known/novel bags: the oracle for ``build_word_bags``.
+
+    Plain words of a clause describe the group the clause votes for; negated
+    words describe the other group.  An against-vote (negative polarity)
+    flips the destination.  Each clause membership counts once.
+    """
+    bag_known: Counter[str] = Counter()
+    bag_novel: Counter[str] = Counter()
+    for clause in clauses:
+        votes_known = (clause.label is Label.KNOWN) == (clause.polarity is Polarity.POSITIVE)
+        if votes_known:
+            bag_known.update(clause.plain_words)
+            bag_novel.update(clause.negated_words)
+        else:
+            bag_novel.update(clause.plain_words)
+            bag_known.update(clause.negated_words)
+    return WordBags(known=dict(bag_known), novel=dict(bag_novel))
+
+
+def model_from_clauses(
+    clauses: Sequence[ExtractedClause], vocab: Vocabulary, params: TMParams | None = None
+) -> TMModel:
+    """A model whose include actions are exactly the given clauses.
+
+    Each clause takes the next free row of its bank's polarity half, so
+    clause indices are not kept.  Without ``params`` each half has room for
+    the most crowded (bank, polarity) group, and at least one row.
+    """
+    if params is None:
+        crowd = max([1, *Counter((c.label, c.polarity) for c in clauses).values()])
+        params = TMParams(clause_count=2 * crowd, vote_margin=1, sensitivity=2.0, state_count=1)
+    half = params.clause_count // 2
+    model = TMModel.create(params, len(vocab), vocab_hash=vocab.sha256())
+    next_row = {
+        (label, polarity): 0 if polarity is Polarity.POSITIVE else half
+        for label in (Label.KNOWN, Label.NOVEL)
+        for polarity in (Polarity.POSITIVE, Polarity.NEGATIVE)
+    }
+    for c in clauses:
+        row = next_row[(c.label, c.polarity)]
+        next_row[(c.label, c.polarity)] += 1
+        plain = [vocab.index_of[w] for w in c.plain_words]
+        negated = [vocab.index_of[w] for w in c.negated_words]
+        set_clause(model.banks[c.label], row, plain=plain, negated=negated)
+    return model
+
+
 def clause_eval(bank: ClauseBank, index: int, bits: np.ndarray, mode: EvalMode) -> bool:
     """Evaluate one clause on one input bit vector."""
     if bits.shape[-1] != bank.feature_count:
@@ -183,16 +234,5 @@ def case_study_clauses() -> list[ExtractedClause]:
 
 def case_study_model(seed: int = 0) -> TMModel:
     """Hand-set TA states reproducing the case-study clauses (4 per class)."""
-    vocab = case_study_vocab()
     params = TMParams(clause_count=4, vote_margin=5, sensitivity=3.0, state_count=8, seed=seed)
-    model = TMModel.create(params, len(vocab), vocab_hash=vocab.sha256())
-    next_row = {
-        (label, polarity): (0 if polarity is Polarity.POSITIVE else params.clause_count // 2)
-        for label in (Label.KNOWN, Label.NOVEL)
-        for polarity in (Polarity.POSITIVE, Polarity.NEGATIVE)
-    }
-    for label, polarity, plain in _CASE_STUDY_SPEC:
-        row = next_row[(label, polarity)]
-        next_row[(label, polarity)] += 1
-        set_clause(model.banks[label], row, plain=[vocab.index_of[w] for w in plain])
-    return model
+    return model_from_clauses(case_study_clauses(), case_study_vocab(), params)

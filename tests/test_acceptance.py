@@ -16,7 +16,7 @@ import pytest
 from tmnovelty.baseline import tfidf_scores
 from tmnovelty.cli import EXIT_OK, main
 from tmnovelty.config import PROFILES, RunConfig
-from tmnovelty.corpus import BoolDoc, Label, booleanize, build_vocabulary, corpus_stats
+from tmnovelty.corpus import BoolDoc, Label, Vocabulary, booleanize, build_vocabulary, corpus_stats
 from tmnovelty.evaluation import (
     WordCategory,
     categorize_words,
@@ -36,7 +36,7 @@ from tmnovelty.novelty import (
 from synthetic import SyntheticConfig, generate_corpus
 from tmnovelty.tsetlin import ExtractedClause, Polarity, TMModel, TMParams, extract_clauses, fit
 
-from helpers import EXPECTED_BAG_KNOWN, EXPECTED_BAG_NOVEL, case_study_clauses
+from helpers import EXPECTED_BAG_KNOWN, EXPECTED_BAG_NOVEL, case_study_model, case_study_vocab, model_from_clauses
 
 SEEDS = range(10)
 DESK = PROFILES["desk"]
@@ -50,7 +50,7 @@ DESK = PROFILES["desk"]
 class TestC1CaseStudy:
     def test_c1_case_study_golden(self):
         start = time.perf_counter()
-        bags = build_word_bags(case_study_clauses())
+        bags = build_word_bags(case_study_model(), case_study_vocab())
 
         assert dict(bags.known) == EXPECTED_BAG_KNOWN
         assert dict(bags.novel) == EXPECTED_BAG_NOVEL
@@ -95,7 +95,7 @@ class TestC1CaseStudy:
         ),
     )
     def test_c1_despite_printed_value(self):
-        table = novelty_scores(build_word_bags(case_study_clauses()))
+        table = novelty_scores(build_word_bags(case_study_model(), case_study_vocab()))
         assert abs(table.scores["despite"] - 1.15) <= 0.02
 
 
@@ -165,7 +165,7 @@ def synthetic_runs():
         model = TMModel.create(params, len(vocab))
         fit(model, train_docs, epochs=DESK["epochs"])
         clauses = extract_clauses(model, vocab)
-        bags = build_word_bags(clauses)
+        bags = build_word_bags(model, vocab)
         table = novelty_scores(bags)
         stats = corpus_stats([(corpus.labels[i], corpus.docs[i]) for i in train_idx])
         tfidf = tfidf_scores(stats)
@@ -300,6 +300,7 @@ def test_c7_determinism_and_properties(tmp_path):
 
     # Bag conservation over random clause lists.
     vocab_sample = ["a", "b", "c", "d", "e", "f"]
+    sample_vocab = Vocabulary(tuple(vocab_sample))
     for _ in range(50):
         clauses = []
         for j in range(int(rng.integers(0, 10))):
@@ -314,7 +315,7 @@ def test_c7_determinism_and_properties(tmp_path):
                     negated_words=frozenset(negated),
                 )
             )
-        bags = build_word_bags(clauses)
+        bags = build_word_bags(model_from_clauses(clauses, sample_vocab), sample_vocab)
         assert bags.total_known + bags.total_novel == sum(
             len(c.plain_words) + len(c.negated_words) for c in clauses
         )

@@ -12,6 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from tmnovelty import tsetlin
 from tmnovelty.cli import EXIT_MISSING, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from tmnovelty.config import RunConfig, parse_config, serialize_config
 from tmnovelty.corpus import Label, Vocabulary, read_tokens, read_vocabulary, write_tokens, write_vocabulary
@@ -339,6 +340,20 @@ def test_context_without_words_is_validation_error(tmp_path, capsys, words):
     assert not (out / "context_novel.csv").exists()
 
 
+def test_context_checks_words_before_reading_clauses(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    write_vocabulary(case_study_vocab(), out / "vocabulary.txt")
+    case_study_model().save(out / "model.tm")
+
+    def no_extraction(*args, **kwargs):
+        raise AssertionError("context extracted clauses before checking --words")
+
+    monkeypatch.setattr(tsetlin, "extract_clauses", no_extraction)
+    assert main(["context", "--words", "rugby,zeppelin", "--out", str(out)]) == EXIT_VALIDATION
+    assert "words not scored by the model: zeppelin" in one_line_error(capsys)
+    assert not (out / "context_novel.csv").exists()
+
+
 def _insert_non_utf8(path):
     """Put a byte that no UTF-8 text contains after the file's first line."""
     raw = path.read_bytes()
@@ -525,6 +540,63 @@ class TestGroupedLayout:
         assert grouped_ingest(grouped_root, out, known=known, novel=novel) == EXIT_VALIDATION
         assert "known_groups and novel_groups" in one_line_error(capsys)
         assert not (out / "tokens.csv").exists()
+
+
+class TestIngestRefusals:
+    @pytest.mark.parametrize(
+        "known,novel,doc_id",
+        [("cricket;rugby", "rugby", "rugby/000.txt"), ("cricket;cricket", "rugby", "cricket/000.txt")],
+        ids=["group-on-both-sides", "group-twice"],
+    )
+    def test_grouped_duplicate_doc_id(self, tmp_path, grouped_root, capsys, known, novel, doc_id):
+        out = tmp_path / "out"
+        assert grouped_ingest(grouped_root, out, known=known, novel=novel) == EXIT_VALIDATION
+        assert f"duplicate doc id in the corpus: {doc_id!r}" in one_line_error(capsys)
+        assert list(out.iterdir()) == []
+
+    def test_csv_duplicate_doc_id(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("doc_id,label,text\na,known,cricket six\nb,novel,rugby old\na,novel,rugby ball\n", "utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--csv-path", str(corpus), "--out", str(out)]) == EXIT_VALIDATION
+        assert "duplicate doc id in the corpus: 'a'" in one_line_error(capsys)
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "sources,named",
+        [
+            (["csv", "root"], "csv_path, data_root"),
+            (["root", "dirs"], "data_root, known_dir/novel_dir"),
+            (["csv-in-config", "dirs"], "csv_path, known_dir/novel_dir"),
+        ],
+        ids=["csv+data-root", "data-root+class-dirs", "config-csv+class-dirs"],
+    )
+    def test_more_than_one_corpus_source(self, tmp_path, corpus_dirs, grouped_root, capsys, sources, named):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("doc_id,label,text\na,known,cricket six\nb,novel,rugby old\n", "utf-8")
+        config = tmp_path / "run.cfg"
+        config.write_text(f"csv_path = {corpus}\n", "utf-8")
+        flags = {
+            "csv": ["--csv-path", str(corpus)],
+            "csv-in-config": ["--config", str(config)],
+            "root": ["--data-root", str(grouped_root), "--known-groups", "cricket", "--novel-groups", "rugby"],
+            "dirs": corpus_flags(corpus_dirs),
+        }
+        out = tmp_path / "out"
+        argv = ["ingest", *(flag for source in sources for flag in flags[source]), "--out", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        assert f"more than one corpus source: {named}" in one_line_error(capsys)
+        assert list(out.iterdir()) == []
+
+
+def test_readme_python_block_runs(capsys):
+    """The README's library quick start runs against the current API."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out
 
 
 def test_readme_commands_parse():

@@ -20,13 +20,13 @@ from tmnovelty.evaluation import (
 )
 from tmnovelty.novelty import WordBags, build_word_bags
 
-from helpers import case_study_clauses, predict
+from helpers import case_study_model, case_study_vocab, predict
 
 
 class TestCategorizeWords:
     @pytest.fixture()
     def bags(self):
-        return build_word_bags(case_study_clauses())
+        return build_word_bags(case_study_model(), case_study_vocab())
 
     def test_despite_is_novel_only(self, bags):
         # Absent from the raw known bag even though its smoothed frequency is 1.

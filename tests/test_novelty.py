@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tmnovelty.corpus import Label
+from tmnovelty.corpus import Label, Vocabulary
 from tmnovelty.evaluation import doc_feature_matrix
 from tmnovelty.novelty import (
     Aggregator,
@@ -24,7 +24,15 @@ from tmnovelty.novelty import (
 )
 from tmnovelty.tsetlin import ExtractedClause, Polarity
 
-from helpers import EXPECTED_BAG_KNOWN, EXPECTED_BAG_NOVEL, case_study_clauses
+from helpers import (
+    EXPECTED_BAG_KNOWN,
+    EXPECTED_BAG_NOVEL,
+    case_study_clauses,
+    case_study_model,
+    case_study_vocab,
+    model_from_clauses,
+    word_bags_from_clauses,
+)
 
 
 def make_clause(label, polarity, plain=(), negated=(), index=0):
@@ -39,6 +47,7 @@ def make_clause(label, polarity, plain=(), negated=(), index=0):
 
 # Random clause lists for property tests.
 _WORDS = ["alpha", "beta", "gamma", "delta", "epsilon"]
+_VOCAB = Vocabulary(tuple(_WORDS))
 clause_lists = st.lists(
     st.builds(
         make_clause,
@@ -51,32 +60,50 @@ clause_lists = st.lists(
 )
 
 
+def bags_of(clauses, vocab=_VOCAB):
+    """The production bags of a model holding exactly the given clauses."""
+    return build_word_bags(model_from_clauses(clauses, vocab), vocab)
+
+
+def case_study_bags():
+    return build_word_bags(case_study_model(), case_study_vocab())
+
+
 class TestBuildWordBags:
     def test_case_study_known_bag(self):
-        bags = build_word_bags(case_study_clauses())
+        bags = case_study_bags()
         assert dict(bags.known) == EXPECTED_BAG_KNOWN
         assert bags.total_known == 14
 
     def test_case_study_novel_bag(self):
-        bags = build_word_bags(case_study_clauses())
+        bags = case_study_bags()
         assert dict(bags.novel) == EXPECTED_BAG_NOVEL
         assert bags.total_novel == 13
 
     def test_known_positive_routing(self):
-        bags = build_word_bags(
-            [make_clause(Label.KNOWN, Polarity.POSITIVE, plain=["a"], negated=["b"])]
+        bags = bags_of(
+            [make_clause(Label.KNOWN, Polarity.POSITIVE, plain=["a"], negated=["b"])], Vocabulary(("a", "b"))
         )
         assert bags.known == {"a": 1}
         assert bags.novel == {"b": 1}
 
     def test_empty_clause_list_gives_empty_bags(self):
-        bags = build_word_bags([])
+        bags = bags_of([])
         assert bags.known == {} and bags.novel == {}
 
     @given(clause_lists)
     @settings(max_examples=60, deadline=None)
+    def test_bags_equal_the_clause_list_oracle(self, clauses):
+        assert bags_of(clauses) == word_bags_from_clauses(clauses)
+
+    def test_vocabulary_size_mismatch_raises(self):
+        with pytest.raises(ValueError, match="vocabulary size != model feature count"):
+            build_word_bags(case_study_model(), _VOCAB)
+
+    @given(clause_lists)
+    @settings(max_examples=60, deadline=None)
     def test_bag_conservation(self, clauses):
-        bags = build_word_bags(clauses)
+        bags = bags_of(clauses)
         total = sum(len(c.plain_words) + len(c.negated_words) for c in clauses)
         assert bags.total_known + bags.total_novel == total
 
@@ -92,8 +119,8 @@ class TestBuildWordBags:
             )
             for c in clauses
         ]
-        original = build_word_bags(clauses)
-        swapped = build_word_bags(flipped)
+        original = bags_of(clauses)
+        swapped = bags_of(flipped)
         assert original.known == swapped.known and original.novel == swapped.novel
 
     @given(clause_lists, st.integers(0, 12), st.integers(0, 12))
@@ -102,8 +129,8 @@ class TestBuildWordBags:
         # Bags built from parts of a clause list, added in either order, give
         # the bags of the whole list.
         lo, hi = sorted((min(cut1, len(clauses)), min(cut2, len(clauses))))
-        parts = [build_word_bags(chunk) for chunk in (clauses[:lo], clauses[lo:hi], clauses[hi:])]
-        whole = build_word_bags(clauses)
+        parts = [bags_of(chunk) for chunk in (clauses[:lo], clauses[lo:hi], clauses[hi:])]
+        whole = bags_of(clauses)
         for side in ("known", "novel"):
             a, b, c = (Counter(getattr(p, side)) for p in parts)
             assert (a + b) + c == a + (b + c) == getattr(whole, side)
@@ -120,15 +147,15 @@ class TestBuildWordBags:
             )
             for c in clauses
         ]
-        original = build_word_bags(clauses)
-        swapped = build_word_bags(flipped)
+        original = bags_of(clauses)
+        swapped = bags_of(flipped)
         assert original.known == swapped.novel and original.novel == swapped.known
 
 
 class TestRelativeFrequency:
     @pytest.fixture()
     def table(self):
-        return novelty_scores(build_word_bags(case_study_clauses()))
+        return novelty_scores(case_study_bags())
 
     def test_match_known(self, table):
         assert table.rel_freq_known["match"] == pytest.approx(1 / 14)
@@ -150,7 +177,7 @@ class TestRelativeFrequency:
 class TestNoveltyScores:
     @pytest.fixture()
     def table(self):
-        return novelty_scores(build_word_bags(case_study_clauses()))
+        return novelty_scores(case_study_bags())
 
     def test_cricket_leans_known(self, table):
         oracle = Fraction(1, 13) / Fraction(4, 14)
@@ -174,7 +201,7 @@ class TestNoveltyScores:
             novelty_scores(bags)
 
     def test_rel_freq_sums_to_one_over_raw_support(self, table):
-        bags = build_word_bags(case_study_clauses())
+        bags = case_study_bags()
         known_sum = sum(table.rel_freq_known[w] for w in bags.known)
         novel_sum = sum(table.rel_freq_novel[w] for w in bags.novel)
         assert known_sum == pytest.approx(1.0)
@@ -209,7 +236,7 @@ class TestNoveltyScores:
 class TestScoreDocument:
     @pytest.fixture()
     def table(self):
-        return novelty_scores(build_word_bags(case_study_clauses()))
+        return novelty_scores(case_study_bags())
 
     def test_unseen_only_doc_has_no_aggregate(self, table):
         assert score_document(["zzz", "qqq"], table) is None
@@ -265,9 +292,8 @@ class TestCooccurrence:
 class TestContextualScore:
     @pytest.fixture()
     def setup(self):
-        clauses = case_study_clauses()
-        table = novelty_scores(build_word_bags(clauses))
-        co = cooccurrence(clauses, Label.NOVEL, clause_count=4)
+        table = novelty_scores(case_study_bags())
+        co = cooccurrence(case_study_clauses(), Label.NOVEL, clause_count=4)
         return co, table
 
     def test_pair_sharing_clauses_beats_disjoint_pair(self, setup):
@@ -295,7 +321,7 @@ class TestContextualScore:
 
 class TestScoreTableExport:
     def test_sorted_by_descending_score(self, tmp_path):
-        bags = build_word_bags(case_study_clauses())
+        bags = case_study_bags()
         table = novelty_scores(bags)
         path = tmp_path / "scores.csv"
         write_score_table(bags, table, path)

@@ -9,6 +9,7 @@ import pytest
 
 from tmnovelty import tsetlin
 from tmnovelty.corpus import BoolDoc, Label, Vocabulary
+from tmnovelty.novelty import build_word_bags
 from tmnovelty.tsetlin import (
     ClauseBank,
     EvalMode,
@@ -34,6 +35,7 @@ from helpers import (
     set_clause,
     type_i_feedback,
     type_ii_feedback,
+    word_bags_from_clauses,
 )
 
 
@@ -458,13 +460,19 @@ class TestExtractClauses:
 
 
     @pytest.mark.parametrize("feature_count", [1, 2, 31, 32, 63, 64, 65, 127, 128, 129, 130])
-    def test_bulk_read_matches_per_row_oracle_on_random_banks(self, feature_count):
+    def test_bulk_read_matches_per_row_oracle_on_random_banks(self, feature_count, monkeypatch):
         rng = np.random.default_rng(feature_count)
         vocab = Vocabulary(tuple(f"w{i:03d}" for i in range(feature_count)))
-        for trial in range(6):
+        for trial in range(7):
             clause_count = 2 * int(rng.integers(1, 21))
+            if trial == 6:
+                # Row blocks of 3 over 14 clauses: edges at rows 3 and 6 in the
+                # positive half, 9 and 12 in the negative half, and the block of
+                # rows 6-8 straddles the two.
+                clause_count = 14
+                monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", 3 * 2 * 2 * feature_count)
             model = TMModel.create(small_params(clause_count=clause_count), feature_count)
-            density = (0.0, 0.01, 0.05, 0.3, 0.9, 1.0)[trial]
+            density = (0.0, 0.01, 0.05, 0.3, 0.9, 1.0, 0.3)[trial]
             for bank in model.banks.values():
                 include = rng.random(bank.state.shape) < density
                 include[rng.random(clause_count) < 0.3] = False  # empty clauses
@@ -472,7 +480,17 @@ class TestExtractClauses:
                 include[0, [word, feature_count + word]] = True  # one word on both sides
                 shape = bank.state.shape
                 bank.state[...] = np.where(include, rng.integers(9, 17, shape), rng.integers(1, 9, shape))
-            assert extract_clauses(model, vocab) == extract_clauses_by_row(model, vocab)
+            oracle = extract_clauses_by_row(model, vocab)
+            assert extract_clauses(model, vocab) == oracle
+            assert build_word_bags(model, vocab) == word_bags_from_clauses(oracle)
+            half = clause_count // 2
+            for bank in model.banks.values():
+                include = bank.include_mask()
+                assert np.array_equal(bank.include_counts(), [include[:half].sum(0), include[half:].sum(0)])
+            if trial == 6:
+                edges = range(bank._block_rows, clause_count, bank._block_rows)
+                assert bank._block_rows == 3
+                assert any(e < half for e in edges) and any(e > half for e in edges)
 
     def test_vocabulary_size_mismatch_raises(self):
         model = TMModel.create(small_params(), 3)
