@@ -32,11 +32,11 @@ accuracy pass waits for both.  Either way the states are the same bytes.
 ``TMModel.create`` allocates the model file's image, a header slot followed
 by both banks' states, and the banks' states are views into it: ``save``
 writes the header into the slot and the image straight to disk, and
-``load`` reads the file straight into it.  The read side takes a bank's
-include actions a row block at a time (``include_blocks``), so no full
-include mask is built: ``include_counts`` sums them per literal and polarity
-half, and ``extract_clauses`` turns them into word sets with one pass over
-the included literals.
+``load`` reads the file straight into it.  No full include mask is built:
+every reader, the first evaluation's packing of the view included, takes a
+bank's include actions a row block at a time (``include_blocks``).  Feedback
+gathers at most ``_FEEDBACK_BYTES`` of states per block, since both workers'
+blocks and the draws are live at once; the 1/s positions are built in place.
 """
 
 from __future__ import annotations
@@ -64,11 +64,14 @@ _PARAM_TYPES = {"clause_count": int, "vote_margin": int, "sensitivity": (int, fl
 
 # Longest header line a model file may have.
 _MAX_HEADER_BYTES = 1 << 16
-# Upper bound on the temporaries of one evaluation, feedback or read block.
+# Upper bound on the temporaries of one evaluation or read block.
 _BLOCK_BYTES = 1 << 23
 # Banks whose states take more bytes than this apply feedback on worker
 # threads; below it, thread hand-offs cost more than they save (see README).
 _THREAD_BYTES = 16 << 20
+# States per feedback block: each worker's block is live beside the other's and
+# the main thread's draws; 8 MiB blocks peaked 36-43 MiB higher on a paper fit.
+_FEEDBACK_BYTES = 1 << 20
 # Largest n whose states [1, 2n] plus one Type I step still fit in int16.
 _MAX_STATE_COUNT = (np.iinfo(np.int16).max - 1) // 2
 
@@ -126,18 +129,24 @@ def _bernoulli_positions(size: int, p: float, rng: np.random.Generator) -> np.nd
 
     The gaps between successive positions are geometric(p), drawn as
     floor(E / -log(1 - p)) + 1 from standard exponentials E, in blocks a few
-    deviations above the expected count.  Positions are summed in float64,
+    deviations above the expected count; a block's gaps become positions in
+    place, in the buffer of its draws.  Positions are summed in float64,
     exact for every position below 2**53.  An empty range draws nothing.
     """
     if size <= 0:
         return np.empty(0, dtype=np.int64)
     rate = -math.log1p(-p)
-    positions = np.full(1, -1.0)
+    positions = np.full(1, -1.0)  # only the start marker until the first block
     while positions[-1] < size:
         expected = (size - 1 - positions[-1]) * p
-        gaps = np.floor(rng.standard_exponential(int(expected + 4.0 * math.sqrt(expected)) + 16) / rate)
-        positions = np.concatenate([positions, positions[-1] + np.cumsum(gaps + 1.0)])
-    return positions[1 : np.searchsorted(positions, size)].astype(np.int64)
+        buf = rng.standard_exponential(int(expected + 4.0 * math.sqrt(expected)) + 16)
+        buf /= rate
+        np.floor(buf, out=buf)
+        buf += 1.0
+        np.cumsum(buf, out=buf)
+        buf += positions[-1]
+        positions = buf if positions[0] < 0 else np.concatenate([positions, buf])
+    return positions[: np.searchsorted(positions, size)].astype(np.int64)
 
 
 class ClauseBank:
@@ -166,12 +175,9 @@ class ClauseBank:
         self.positive_mask = np.zeros(clause_count, dtype=bool)
         self.positive_mask[: clause_count // 2] = True
         self._block_rows = max(1, _BLOCK_BYTES // max(1, self.state.itemsize * self.literal_count))
+        self._feedback_rows = max(1, _FEEDBACK_BYTES // max(1, self.state.itemsize * self.literal_count))
         self._packed: np.ndarray | None = None  # (words, clauses) packed include bits
         self._nonempty: np.ndarray | None = None  # (clauses,) any literal included
-
-    def include_mask(self) -> np.ndarray:
-        """Boolean (clauses, literals) matrix of include actions, derived from states."""
-        return self.state > self.state_count
 
     def include_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         """The include mask a block of ``_block_rows`` rows at a time: (first row, block)."""
@@ -193,9 +199,11 @@ class ClauseBank:
         """Store new states for the given rows and repack just those rows."""
         self.state[rows] = block
         if self._packed is not None:
-            include = block > self.state_count
-            self._packed[:, rows] = pack_bits(include).T
-            self._nonempty[rows] = include.any(axis=1)
+            self._repack(rows, block > self.state_count)
+
+    def _repack(self, rows: np.ndarray | slice, include: np.ndarray) -> None:
+        self._packed[:, rows] = pack_bits(include).T
+        self._nonempty[rows] = include.any(axis=1)
 
     # -- evaluation ----------------------------------------------------------
 
@@ -209,9 +217,10 @@ class ClauseBank:
         clauses, and a stack is taken a block of documents at a time.
         """
         if self._packed is None:
-            include = self.include_mask()
-            self._packed = np.ascontiguousarray(pack_bits(include).T)  # (words, clauses)
-            self._nonempty = include.any(axis=1)
+            self._packed = np.empty((-(-self.literal_count // 64), self.clause_count), dtype=np.uint64)
+            self._nonempty = np.empty(self.clause_count, dtype=bool)
+            for start, include in self.include_blocks():
+                self._repack(slice(start, start + len(include)), include)
         docs = np.atleast_2d(not_literals_packed)
         violated = np.zeros((len(docs), self.clause_count), dtype=bool)
         step = max(1, _BLOCK_BYTES // (8 * self.clause_count))
@@ -252,8 +261,8 @@ class ClauseBank:
         if not rows.size:
             return
         width = self.literal_count
-        for start in range(0, rows.size, self._block_rows):
-            part = rows[start : start + self._block_rows]
+        for start in range(0, rows.size, self._feedback_rows):
+            part = rows[start : start + self._feedback_rows]
             block = self.state[part]
             block[: max(0, fired_rows.size - start)] += literals
             lo, hi = np.searchsorted(forget, (start * width, (start + part.size) * width))
@@ -264,8 +273,8 @@ class ClauseBank:
     def type_ii(self, fired_rows: np.ndarray, literals: np.ndarray) -> None:
         """Nudge every excluded false literal of the given firing rows toward include."""
         false_literals = ~literals
-        for start in range(0, fired_rows.size, self._block_rows):
-            part = fired_rows[start : start + self._block_rows]
+        for start in range(0, fired_rows.size, self._feedback_rows):
+            part = fired_rows[start : start + self._feedback_rows]
             block = self.state[part]
             block += false_literals & (block <= self.state_count)
             self._write_rows(part, block)

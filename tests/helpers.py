@@ -1,11 +1,13 @@
 """Shared fixtures: the sports case-study clauses, a hand-set model and a
 model built from any clause list, single-clause forms of the clause bank's
-evaluation and feedback, a per-row clause extraction oracle and a
-clause-list word bag oracle, and single-document forms of classification
+evaluation and feedback, a bank's full include mask, a per-row clause
+extraction oracle, a clause-list word bag oracle, an allocate-and-concatenate
+oracle for the 1/s positions, and single-document forms of classification
 and logistic prediction."""
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -83,6 +85,28 @@ def set_clause(bank: ClauseBank, index: int, plain: Sequence[int] = (), negated:
     bank._write_rows(np.array([index]), row[None, :])
 
 
+def include_mask(bank: ClauseBank) -> np.ndarray:
+    """Boolean (clauses, literals) matrix of a bank's include actions, derived from states."""
+    return bank.state > bank.state_count
+
+
+def bernoulli_positions_concatenated(size: int, p: float, rng: np.random.Generator) -> np.ndarray:
+    """``_bernoulli_positions`` with a fresh array per operation: the oracle for its in-place form.
+
+    Same draws and the same float operations in the same order, so the
+    positions and the generator's state afterwards must be equal.
+    """
+    if size <= 0:
+        return np.empty(0, dtype=np.int64)
+    rate = -math.log1p(-p)
+    positions = np.full(1, -1.0)
+    while positions[-1] < size:
+        expected = (size - 1 - positions[-1]) * p
+        gaps = np.floor(rng.standard_exponential(int(expected + 4.0 * math.sqrt(expected)) + 16) / rate)
+        positions = np.concatenate([positions, positions[-1] + np.cumsum(gaps + 1.0)])
+    return positions[1 : np.searchsorted(positions, size)].astype(np.int64)
+
+
 def extract_clauses_by_row(model: TMModel, vocab: Vocabulary) -> list[ExtractedClause]:
     """Per-row reading of every bank's include actions: the oracle for ``extract_clauses``."""
     if len(vocab) != model.feature_count:
@@ -91,7 +115,7 @@ def extract_clauses_by_row(model: TMModel, vocab: Vocabulary) -> list[ExtractedC
     half = model.params.clause_count // 2
     o = model.feature_count
     for label in (Label.KNOWN, Label.NOVEL):
-        include = model.banks[label].include_mask()
+        include = include_mask(model.banks[label])
         for j in range(model.params.clause_count):
             plain_idx = np.flatnonzero(include[j, :o])
             negated_idx = np.flatnonzero(include[j, o:])

@@ -3,6 +3,7 @@
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,12 +27,14 @@ from tmnovelty.tsetlin import (
 )
 
 from helpers import (
+    bernoulli_positions_concatenated,
     case_study_model,
     case_study_vocab,
     class_sum,
     classify,
     clause_eval,
     extract_clauses_by_row,
+    include_mask,
     set_clause,
     type_i_feedback,
     type_ii_feedback,
@@ -149,24 +152,46 @@ class TestClauseEval:
         # Interleave evaluation and both feedback types with the packed view
         # live; small feedback blocks exercise the row-block loop.
         monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", 64)
+        monkeypatch.setattr(tsetlin, "_FEEDBACK_BYTES", 64)
         rng = np.random.default_rng(21)
         for _ in range(20):
             features = int(rng.integers(1, 70))
-            bank = ClauseBank(12, features, 3)
-            bank.state = rng.integers(1, 7, size=bank.state.shape).astype(np.int16)
-            for _ in range(30):
-                x = rng.random(features) < 0.5
-                lits = literal_vector(x)
-                fired = bank.fired(pack_bits(~lits), EvalMode.LEARNING)
-                chosen = rng.random(12) < 0.5
-                if rng.random() < 0.5:
-                    forget = _bernoulli_positions(int(chosen.sum()) * bank.literal_count, 1 / 2.0, rng)
-                    bank.type_i(np.flatnonzero(chosen & fired), np.flatnonzero(chosen & ~fired), lits, forget)
-                else:
-                    bank.type_ii(np.flatnonzero(chosen & fired), lits)
+            bank = _random_feedback(ClauseBank(12, features, 3), rng)
             include = bank.state > bank.state_count
             assert np.array_equal(bank._packed, pack_bits(include).T)
             assert np.array_equal(bank._nonempty, include.any(axis=1))
+        # Budgets of three rows over 14 clauses: the view is built, and the
+        # feedback gathered, in blocks with edges at rows 3 and 6 in the
+        # positive half and 9 and 12 in the negative half.  The states must
+        # equal those of single-block budgets.
+        for features in (1, 37, 70):
+            states = []
+            for rows in (3, 14):
+                monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", rows * 2 * 2 * features)
+                monkeypatch.setattr(tsetlin, "_FEEDBACK_BYTES", rows * 2 * 2 * features)
+                bank = ClauseBank(14, features, 3)
+                assert bank._block_rows == bank._feedback_rows == rows
+                bank = _random_feedback(bank, np.random.default_rng(features))
+                include = include_mask(bank)
+                assert np.array_equal(bank._packed, pack_bits(include).T)
+                assert np.array_equal(bank._nonempty, include.any(axis=1))
+                states.append(bank.state)
+            assert np.array_equal(*states)
+
+
+def _random_feedback(bank: ClauseBank, rng: np.random.Generator, steps: int = 30) -> ClauseBank:
+    """Random states, then ``steps`` rounds of evaluation and Type I or II feedback."""
+    bank.state = rng.integers(1, 7, size=bank.state.shape).astype(np.int16)
+    for _ in range(steps):
+        lits = literal_vector(rng.random(bank.feature_count) < 0.5)
+        fired = bank.fired(pack_bits(~lits), EvalMode.LEARNING)
+        chosen = rng.random(bank.clause_count) < 0.5
+        if rng.random() < 0.5:
+            forget = _bernoulli_positions(int(chosen.sum()) * bank.literal_count, 1 / 2.0, rng)
+            bank.type_i(np.flatnonzero(chosen & fired), np.flatnonzero(chosen & ~fired), lits, forget)
+        else:
+            bank.type_ii(np.flatnonzero(chosen & fired), lits)
+    return bank
 
 
 def _naive_eval(states, n_states, input_bits, learning):
@@ -290,6 +315,30 @@ class TestTypeIFeedback:
         decay_freq = float(np.mean(bank.state[:, 0] == 9))
         assert abs(decay_freq - 1 / s) < 3 * ((1 / s) * (1 - 1 / s) / n) ** 0.5
 
+
+    @pytest.mark.parametrize("p", [1 / 25, 1 / 2, 1e-12])
+    @pytest.mark.parametrize(
+        "size, seed",
+        [
+            (0, 0),
+            (1, 0),
+            (37, 0),
+            (2_575 * 9_978, 0),  # one paper-shape step: 2 575 rows of 9 978 literals
+            (50_000, 133_940),  # at p = 1/25 the first block stops short, so the loop runs twice
+        ],
+    )
+    def test_positions_and_generator_state_match_the_concatenating_oracle(self, size, seed, p):
+        rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        positions = _bernoulli_positions(size, p, rng)
+        expected = bernoulli_positions_concatenated(size, p, oracle_rng)
+        assert positions.dtype == np.int64
+        assert np.array_equal(positions, expected)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+        if size == 50_000 and p == 1 / 25:
+            first = int(size * p + 4.0 * (size * p) ** 0.5) + 16
+            one_block = np.random.default_rng(seed)
+            one_block.standard_exponential(first)
+            assert rng.bit_generator.state != one_block.bit_generator.state
 
     @pytest.mark.parametrize("s", [1.5, 1e12])
     def test_move_frequencies_and_bounds_at_extreme_sensitivities(self, s):
@@ -485,7 +534,7 @@ class TestExtractClauses:
             assert build_word_bags(model, vocab) == word_bags_from_clauses(oracle)
             half = clause_count // 2
             for bank in model.banks.values():
-                include = bank.include_mask()
+                include = include_mask(bank)
                 assert np.array_equal(bank.include_counts(), [include[:half].sum(0), include[half:].sum(0)])
             if trial == 6:
                 edges = range(bank._block_rows, clause_count, bank._block_rows)
@@ -668,3 +717,47 @@ class TestThreadedFeedback:
         model.save(tmp_path / "a.tm")
         loaded.save(tmp_path / "b.tm")
         assert (tmp_path / "a.tm").read_bytes() == (tmp_path / "b.tm").read_bytes()
+
+
+def _traced_peak(call) -> int:
+    """Bytes allocated at the peak of ``call()`` beyond the traced size just before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
+class TestFitMemory:
+    """Training temporaries stay within their block budgets, not the bank's size."""
+
+    @staticmethod
+    def _bank() -> tuple[ClauseBank, np.ndarray]:
+        # 512 clauses of 4 096 literals: 4 MiB of int16 states.
+        rng = np.random.default_rng(3)
+        bank = ClauseBank(512, 2_048, 8)
+        bank.state[...] = rng.integers(1, 17, size=bank.state.shape)
+        return bank, literal_vector(rng.random(bank.feature_count) < 0.5)
+
+    def test_first_evaluation_builds_the_view_a_block_at_a_time(self, monkeypatch):
+        monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", 512 << 10)
+        bank, lits = self._bank()
+        assert bank._block_rows * 4 < bank.clause_count
+        peak = _traced_peak(lambda: bank.fired(pack_bits(~lits), EvalMode.LEARNING))
+        assert peak - bank._packed.nbytes - bank._nonempty.nbytes < bank.state.nbytes / 4
+        include = include_mask(bank)
+        assert np.array_equal(bank._packed, pack_bits(include).T)
+        assert np.array_equal(bank._nonempty, include.any(axis=1))
+
+    def test_type_i_gathers_feedback_sized_blocks(self):
+        # The whole bank fits one 8 MiB read block, so only the feedback
+        # budget splits this call's gathers.
+        bank, lits = self._bank()
+        fired = bank.fired(pack_bits(~lits), EvalMode.LEARNING)
+        forget = _bernoulli_positions(bank.state.size, 1 / 25, np.random.default_rng(4))
+        rows = np.arange(bank.clause_count)
+        peak = _traced_peak(lambda: bank.type_i(rows[fired], rows[~fired], lits, forget))
+        assert peak < 4 * tsetlin._FEEDBACK_BYTES
