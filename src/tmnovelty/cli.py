@@ -14,7 +14,7 @@ import argparse
 import dataclasses
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -150,14 +150,16 @@ def _read_vocab(outdir: Path) -> corpus_mod.Vocabulary:
     return corpus_mod.read_vocabulary(_require(outdir / "vocabulary.txt", "vocabulary"))
 
 
-def _read_model(outdir: Path, vocab: corpus_mod.Vocabulary) -> tsetlin.TMModel:
-    model = tsetlin.TMModel.load(_require(outdir / "model.tm", "model"))
-    if model.vocab_hash and model.vocab_hash != vocab.sha256():
-        raise ValidationError("vocabulary hash mismatch between model and corpus")
-    return model
+@contextmanager
+def _read_model(outdir: Path, vocab: corpus_mod.Vocabulary) -> Iterator[tsetlin.StoredModel]:
+    with tsetlin.StoredModel.open(_require(outdir / "model.tm", "model")) as model:
+        if model.vocab_hash and model.vocab_hash != vocab.sha256():
+            raise ValidationError("vocabulary hash mismatch between model and corpus")
+        yield model
 
 
-def _score_table(vocab: corpus_mod.Vocabulary, model: tsetlin.TMModel):
+def _score_table(vocab: corpus_mod.Vocabulary, model: tsetlin.StoredModel):
+    """Bags and scores; this reads every state block, so a bad state stops a stage before it writes."""
     bags = novelty.build_word_bags(model, vocab)
     try:
         table = novelty.novelty_scores(bags)
@@ -212,8 +214,8 @@ def cmd_train(config: RunConfig) -> None:
 def cmd_describe(config: RunConfig) -> None:
     outdir = _outdir(config)
     vocab = _read_vocab(outdir)
-    model = _read_model(outdir, vocab)
-    bags, table = _score_table(vocab, model)
+    with _read_model(outdir, vocab) as model:
+        bags, table = _score_table(vocab, model)
     novelty.write_score_table(bags, table, outdir / "score_table.csv")
     print(f"describe: {len(table)} scored words "
           f"(bag totals {bags.total_known}/{bags.total_novel})")
@@ -225,12 +227,12 @@ def cmd_context(config: RunConfig, word_list: str, target_class: Label) -> None:
         raise ValidationError("--words names no word")
     outdir = _outdir(config)
     vocab = _read_vocab(outdir)
-    model = _read_model(outdir, vocab)
-    _, table = _score_table(vocab, model)
-    missing = [w for w in words if w not in table]
-    if missing:
-        raise ValidationError(f"words not scored by the model: {', '.join(missing)}")
-    clauses = tsetlin.extract_clauses(model, vocab)
+    with _read_model(outdir, vocab) as model:
+        _, table = _score_table(vocab, model)
+        missing = [w for w in words if w not in table]
+        if missing:
+            raise ValidationError(f"words not scored by the model: {', '.join(missing)}")
+        clauses = tsetlin.extract_clauses(model, vocab)  # a second pass over the same open file
     co = novelty.cooccurrence(clauses, target_class, clause_count=model.params.clause_count)
     path = outdir / f"context_{target_class.value}.csv"
     novelty.write_cooccurrence_matrix(co, table, words, path)
@@ -252,11 +254,11 @@ def cmd_tfidf(config: RunConfig) -> None:
 def cmd_eval(config: RunConfig) -> None:
     outdir = _outdir(config)
     vocab = _read_vocab(outdir)
-    model = _read_model(outdir, vocab)
-    token_docs = corpus_mod.read_tokens(_require(outdir / "tokens.csv", "token table"))
+    with _read_model(outdir, vocab) as model:
+        token_docs = corpus_mod.read_tokens(_require(outdir / "tokens.csv", "token table"))
+        bags, table = _score_table(vocab, model)
     docs = [tokens for _, _, tokens in token_docs]
     labels = [label for _, label, _ in token_docs]
-    bags, table = _score_table(vocab, model)
 
     stats = corpus_mod.corpus_stats(list(zip(labels, docs)))
     tfidf = baseline.tfidf_scores(stats)

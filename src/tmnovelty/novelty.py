@@ -30,7 +30,7 @@ import numpy as np
 
 from ._files import atomic_write_text
 from .corpus import Label, Vocabulary
-from .tsetlin import ExtractedClause, TMModel
+from .tsetlin import ExtractedClause, StoredModel, TMModel
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class WordBags:
         return sorted(set(self.known) | set(self.novel))
 
 
-def build_word_bags(model: TMModel, vocab: Vocabulary) -> WordBags:
+def build_word_bags(model: TMModel | StoredModel, vocab: Vocabulary) -> WordBags:
     """Route every clause's included words into the known/novel bags with multiplicity.
 
     Plain words of a clause describe the group the clause votes for; negated

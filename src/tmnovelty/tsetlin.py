@@ -32,9 +32,9 @@ accuracy pass waits for both.  Either way the states are the same bytes.
 ``TMModel.create`` allocates the model file's image, a header slot followed
 by both banks' states, and the banks' states are views into it: ``save``
 writes the header into the slot and the image straight to disk, and
-``load`` reads the file straight into it.  No full include mask is built:
-every reader, the first evaluation's packing of the view included, takes a
-bank's include actions a row block at a time (``include_blocks``).  Feedback
+``load`` reads the file straight into it; the read stages stream the file
+instead (``StoredModel``).  No full include mask is built: every reader takes
+a bank's include actions a row block at a time (``include_blocks``).  Feedback
 gathers at most ``_FEEDBACK_BYTES`` of states per block, since both workers'
 blocks and the draws are live at once; the 1/s positions are built in place.
 """
@@ -46,7 +46,7 @@ import json
 import math
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -337,43 +337,91 @@ class TMModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "TMModel":
-        """Read a model file; any malformed header, size or state raises ValueError.
-
-        The header line is checked first and the body size against it, then
-        each bank's states are read straight into their place in the file
-        image ``create`` allocated, with no staging copy.
-        """
+        """Read a model file into ``create``'s file image; a bad header, size or state raises ValueError."""
         with open(path, "rb") as fh:
-            head = fh.readline(_MAX_HEADER_BYTES)
-            try:
-                header = json.loads(head) if head.endswith(b"\n") else None
-            except ValueError:
-                header = None
-            if not isinstance(header, dict) or header.get("format") != _MODEL_FORMAT:
-                raise ValueError(f"not a model file: {path}")
-            if header.get("version") != _MODEL_VERSION:
-                raise ValueError(f"unsupported model version {header.get('version')!r}")
-            params = TMParams(
-                **{k: _header_field(header.get("params"), k, kind, path) for k, kind in _PARAM_TYPES.items()}
-            )
-            feature_count = _header_field(header, "feature_count", int, path)
-            vocab_hash = _header_field(header, "vocab_hash", str, path)
-            if header.get("state_dtype") != "<i2" or header.get("class_order") != [l.value for l in _CLASS_ORDER]:
-                raise ValueError(f"unsupported state layout in model file: {path}")
-            if feature_count < 1:
-                raise ValueError(f"model header key 'feature_count' must be >= 1: {path}")
-            body_bytes = 2 * len(_CLASS_ORDER) * params.clause_count * 2 * feature_count
-            if os.fstat(fh.fileno()).st_size - len(head) != body_bytes:
-                raise ValueError(f"model file is truncated or has trailing bytes: {path}")
+            params, feature_count, vocab_hash = _read_header(fh, path)
             model = cls.create(params, feature_count, vocab_hash=vocab_hash)
-            high = 2 * params.state_count
             for label in _CLASS_ORDER:
-                state = model.banks[label].state
-                if fh.readinto(state) != state.nbytes:  # a buffered read fills the array unless at EOF
-                    raise ValueError(f"model file ended before its states did: {path}")
-                if state.min() < 1 or state.max() > high:
-                    raise ValueError(f"{label.value} clause states outside [1, {high}] in model file: {path}")
+                _read_states(fh, model.banks[label].state, label, params.state_count, path)
         return model
+
+
+class StoredBank:
+    """One bank's states in an open model file, read a row block at a time."""
+
+    def __init__(self, fh, path: str | Path, params: TMParams, feature_count: int, body: int, k: int) -> None:
+        self.clause_count, self.literal_count = params.clause_count, 2 * feature_count
+        self.state_count, self._fh, self._path, self._label = params.state_count, fh, path, _CLASS_ORDER[k]
+        self._offset = body + k * 2 * self.clause_count * self.literal_count  # the bank's first state
+        self._block_rows = max(1, _BLOCK_BYTES // (2 * self.literal_count))
+
+    def include_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """``ClauseBank.include_blocks`` from the file: each block is read into one buffer and checked."""
+        buffer = np.empty((min(self._block_rows, self.clause_count), self.literal_count), dtype="<i2")
+        for start in range(0, self.clause_count, len(buffer)):
+            block = buffer[: self.clause_count - start]
+            self._fh.seek(self._offset + start * buffer[0].nbytes)
+            _read_states(self._fh, block, self._label, self.state_count, self._path)
+            yield start, block > self.state_count
+
+    include_counts = ClauseBank.include_counts
+
+
+@dataclass
+class StoredModel:
+    """A model file opened read-only, for readers of include actions only: ``with StoredModel.open(path)``.
+
+    The header is checked on opening and the states stay in the held file,
+    so every pass reads the same file, a block at a time, even if its path is
+    replaced meanwhile.
+    """
+
+    params: TMParams
+    feature_count: int
+    vocab_hash: str
+    banks: dict[Label, StoredBank]
+
+    @classmethod
+    @contextmanager
+    def open(cls, path: str | Path) -> Iterator["StoredModel"]:
+        with open(path, "rb") as fh:
+            params, feature_count, vocab_hash = _read_header(fh, path)
+            body = fh.tell()
+            banks = {label: StoredBank(fh, path, params, feature_count, body, k)
+                     for k, label in enumerate(_CLASS_ORDER)}
+            yield cls(params, feature_count, vocab_hash, banks)
+
+
+def _read_header(fh, path: str | Path) -> tuple[TMParams, int, str]:
+    """Check a model file's header line and its body size; the file is left at the states."""
+    head = fh.readline(_MAX_HEADER_BYTES)
+    try:
+        header = json.loads(head) if head.endswith(b"\n") else None
+    except ValueError:
+        header = None
+    if not isinstance(header, dict) or header.get("format") != _MODEL_FORMAT:
+        raise ValueError(f"not a model file: {path}")
+    if header.get("version") != _MODEL_VERSION:
+        raise ValueError(f"unsupported model version {header.get('version')!r}")
+    params = TMParams(**{k: _header_field(header.get("params"), k, kind, path) for k, kind in _PARAM_TYPES.items()})
+    feature_count = _header_field(header, "feature_count", int, path)
+    vocab_hash = _header_field(header, "vocab_hash", str, path)
+    if header.get("state_dtype") != "<i2" or header.get("class_order") != [l.value for l in _CLASS_ORDER]:
+        raise ValueError(f"unsupported state layout in model file: {path}")
+    if feature_count < 1:
+        raise ValueError(f"model header key 'feature_count' must be >= 1: {path}")
+    body_bytes = 2 * len(_CLASS_ORDER) * params.clause_count * 2 * feature_count
+    if os.fstat(fh.fileno()).st_size - len(head) != body_bytes:
+        raise ValueError(f"model file is truncated or has trailing bytes: {path}")
+    return params, feature_count, vocab_hash
+
+
+def _read_states(fh, out: np.ndarray, label: Label, state_count: int, path: str | Path) -> None:
+    """Fill ``out`` with the next states of ``label``'s bank; a short read or a state outside [1, 2n] raises."""
+    if fh.readinto(out) != out.nbytes:  # a buffered read fills the array unless at EOF
+        raise ValueError(f"model file ended before its states did: {path}")
+    if out.min() < 1 or out.max() > 2 * state_count:
+        raise ValueError(f"{label.value} clause states outside [1, {2 * state_count}] in model file: {path}")
 
 
 def _file_image(clause_count: int, feature_count: int) -> np.ndarray:
@@ -508,7 +556,7 @@ class ExtractedClause:
     negated_words: frozenset[str]
 
 
-def extract_clauses(model: TMModel, vocab: Vocabulary) -> list[ExtractedClause]:
+def extract_clauses(model: TMModel | StoredModel, vocab: Vocabulary) -> list[ExtractedClause]:
     """Read the include actions of every clause back as plain/negated word sets.
 
     Clauses with no included literal are omitted.  A word may appear on both

@@ -2,12 +2,13 @@
 model built from any clause list, single-clause forms of the clause bank's
 evaluation and feedback, a bank's full include mask, a per-row clause
 extraction oracle, a clause-list word bag oracle, an allocate-and-concatenate
-oracle for the 1/s positions, and single-document forms of classification
-and logistic prediction."""
+oracle for the 1/s positions, single-document forms of classification and
+logistic prediction, and a call's traced allocation peak."""
 
 from __future__ import annotations
 
 import math
+import tracemalloc
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -260,3 +261,15 @@ def case_study_model(seed: int = 0) -> TMModel:
     """Hand-set TA states reproducing the case-study clauses (4 per class)."""
     params = TMParams(clause_count=4, vote_margin=5, sensitivity=3.0, state_count=8, seed=seed)
     return model_from_clauses(case_study_clauses(), case_study_vocab(), params)
+
+
+def traced_peak(call) -> int:
+    """Bytes allocated at the peak of ``call()`` beyond the traced size just before it."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        call()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()

@@ -17,7 +17,7 @@ from tmnovelty.cli import EXIT_MISSING, EXIT_OK, EXIT_VALIDATION, build_parser, 
 from tmnovelty.config import RunConfig, parse_config, serialize_config
 from tmnovelty.corpus import Label, Vocabulary, read_tokens, read_vocabulary, write_tokens, write_vocabulary
 
-from helpers import CASE_STUDY_WORDS, case_study_model, case_study_vocab
+from helpers import CASE_STUDY_WORDS, case_study_model, case_study_vocab, traced_peak
 
 
 @pytest.fixture()
@@ -263,6 +263,99 @@ def test_describe_rejects_corrupt_model(tmp_path, capsys, corrupt):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# The read stages, and every file any of them writes that the others do not.
+READ_STAGES = {"describe": ["describe"], "context": ["context", "--words", "rugby,cricket"], "eval": ["eval"]}
+READ_OUTPUTS = ("score_table.csv", "context_novel.csv", "report.json", "doc_scores.csv")
+
+
+def _case_study_run(out, model=None):
+    """The inputs of every read stage: the case-study vocabulary and model, and ten token lists."""
+    write_vocabulary(case_study_vocab(), out / "vocabulary.txt")
+    (model or case_study_model()).save(out / "model.tm")
+    known = [(f"k{i}", Label.KNOWN, ["cricket", "six", "hit"][: 1 + i % 3]) for i in range(5)]
+    novel = [(f"n{i}", Label.NOVEL, ["rugby", "old", "despite"][: 1 + i % 3]) for i in range(5)]
+    write_tokens(known + novel, out / "tokens.csv")
+
+
+@pytest.mark.parametrize("stage", READ_STAGES.values(), ids=READ_STAGES.keys())
+def test_read_stage_runs_on_the_case_study_run(tmp_path, stage):
+    out = tmp_path / "out"
+    _case_study_run(out)
+    assert main([*stage, "--out", str(out)]) == EXIT_OK
+
+
+@pytest.mark.parametrize("corrupt", MODEL_CORRUPTIONS.values(), ids=MODEL_CORRUPTIONS.keys())
+@pytest.mark.parametrize("stage", READ_STAGES.values(), ids=READ_STAGES.keys())
+def test_read_stage_rejects_corrupt_model_and_writes_nothing(tmp_path, capsys, stage, corrupt):
+    out = tmp_path / "out"
+    _case_study_run(out)
+    raw = (out / "model.tm").read_bytes()
+    newline = raw.index(b"\n")
+    header, body = corrupt(json.loads(raw[:newline]), raw[newline + 1 :])
+    (out / "model.tm").write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+    assert main([*stage, "--out", str(out)]) == EXIT_VALIDATION
+    assert "model" in one_line_error(capsys)
+    assert not [name for name in READ_OUTPUTS if (out / name).exists()]
+
+
+@pytest.mark.parametrize("stage", READ_STAGES.values(), ids=READ_STAGES.keys())
+def test_bad_state_in_the_last_block_of_the_second_bank_is_rejected(tmp_path, capsys, monkeypatch, stage):
+    monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", 2 * 2 * 2 * len(CASE_STUDY_WORDS))  # two of four rows per block
+    out = tmp_path / "out"
+    _case_study_run(out)
+    raw = (out / "model.tm").read_bytes()
+    (out / "model.tm").write_bytes(raw[:-2] + np.array([17], dtype="<i2").tobytes())
+    assert main([*stage, "--out", str(out)]) == EXIT_VALIDATION
+    assert "novel clause states outside [1, 16]" in one_line_error(capsys)
+    assert not [name for name in READ_OUTPUTS if (out / name).exists()]
+
+
+def test_context_reads_the_file_it_opened_when_the_path_is_replaced(tmp_path, monkeypatch):
+    # Every novel clause includes every plain literal in the replacement, so
+    # its pair counts differ from the case study's.
+    other = case_study_model()
+    other.banks[Label.NOVEL].state[:, : len(CASE_STUDY_WORDS)] = 16
+    for name, model in (("original", None), ("other", other)):
+        _case_study_run(tmp_path / name, model)
+        assert main(["context", "--words", "rugby,cricket", "--out", str(tmp_path / name)]) == EXIT_OK
+    expected = (tmp_path / "original" / "context_novel.csv").read_bytes()
+    assert (tmp_path / "other" / "context_novel.csv").read_bytes() != expected
+    replacement = (tmp_path / "other" / "model.tm").read_bytes()
+    out = tmp_path / "out"
+    _case_study_run(out)
+    real_extract = tsetlin.extract_clauses
+
+    def replace_then_extract(model, vocab):
+        os.replace(tmp_path / "other" / "model.tm", out / "model.tm")
+        return real_extract(model, vocab)
+
+    monkeypatch.setattr(tsetlin, "extract_clauses", replace_then_extract)
+    assert main(["context", "--words", "rugby,cricket", "--out", str(out)]) == EXIT_OK
+    assert (out / "context_novel.csv").read_bytes() == expected
+    assert (out / "model.tm").read_bytes() == replacement
+
+
+def test_describe_holds_no_state_image(tmp_path, monkeypatch):
+    monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", 512 << 10)
+    # 1 024 clauses per bank over 2 048 words: 16 MiB of states.
+    words = tuple(a + b + c for a in "abcdefghijklmnop" for b in "abcdefghijklmnop" for c in "abcdefgh")
+    vocab = Vocabulary(words)
+    params = tsetlin.TMParams(clause_count=1024, vote_margin=5, sensitivity=3.0, state_count=8, seed=0)
+    model = tsetlin.TMModel.create(params, len(vocab), vocab_hash=vocab.sha256())
+    rng = np.random.default_rng(0)
+    for bank in model.banks.values():
+        bank.state[...] = rng.integers(1, 17, size=bank.state.shape, dtype=np.int16)
+    out = tmp_path / "out"
+    model.save(out / "model.tm")
+    write_vocabulary(vocab, out / "vocabulary.txt")
+    state_bytes = sum(bank.state.nbytes for bank in model.banks.values())
+    assert state_bytes >= 8 << 20
+    del model, bank
+    peak = traced_peak(lambda: main(["describe", "--out", str(out)]))
+    assert (out / "score_table.csv").exists()
+    assert peak < state_bytes / 4
 
 
 @pytest.mark.parametrize("keep_header", [False, True], ids=["empty", "no-newline"])

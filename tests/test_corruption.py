@@ -3,9 +3,9 @@
 Each example copies a small trained run, damages one file (a truncated or
 byte-flipped ``model.tm``, byte flips in ``vocabulary.txt``, a dropped or
 renamed column in ``booldocs.csv`` or ``tokens.csv``) and runs ``train``,
-``describe`` or ``eval`` on it.  A stage may succeed, since a flipped state
-byte can still decode to an in-range state, but any other outcome must be
-exit code 1 or 2 with exactly one ``error:`` line.
+``describe``, ``context`` or ``eval`` on it.  A stage may succeed, since a
+flipped state byte can still decode to an in-range state, but any other
+outcome must be exit code 1 or 2 with exactly one ``error:`` line.
 """
 
 import contextlib
@@ -35,7 +35,7 @@ TEXTS = {
     ],
 }
 PARAMS = ["--clauses", "8", "--vote-margin", "3", "--sensitivity", "3.0", "--state-count", "8", "--epochs", "2"]
-STAGES = {"train": PARAMS, "describe": [], "eval": ["--seed", "1"]}
+STAGES = {"train": PARAMS, "describe": [], "context": ["--words", "rugby,cricket"], "eval": ["--seed", "1"]}
 
 
 @pytest.fixture(scope="module")
@@ -77,9 +77,9 @@ FLIPS = st.lists(st.tuples(st.integers(0, 1 << 30), st.integers(1, 255)), min_si
 COLUMN_EDITS = st.tuples(st.integers(0, 2), st.text("abdeilnost_", min_size=1, max_size=8))
 # (file, corruption, what the corruption draws, the stages that read the file)
 CORRUPTIONS = [
-    ("model.tm", "truncate", st.integers(0, 1 << 30), ("describe", "eval")),
-    ("model.tm", "flip-header", FLIPS, ("describe", "eval")),
-    ("model.tm", "flip-body", FLIPS, ("describe", "eval")),
+    ("model.tm", "truncate", st.integers(0, 1 << 30), ("describe", "context", "eval")),
+    ("model.tm", "flip-header", FLIPS, ("describe", "context", "eval")),
+    ("model.tm", "flip-body", FLIPS, ("describe", "context", "eval")),
     ("vocabulary.txt", "flip", FLIPS, ("train", "describe", "eval")),
     ("booldocs.csv", "drop", COLUMN_EDITS, ("train",)),
     ("booldocs.csv", "rename", COLUMN_EDITS, ("train",)),

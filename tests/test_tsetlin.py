@@ -3,7 +3,6 @@
 import os
 import sys
 import threading
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from tmnovelty.tsetlin import (
     ClauseBank,
     EvalMode,
     Polarity,
+    StoredModel,
     TMModel,
     TMParams,
     _bernoulli_positions,
@@ -36,6 +36,7 @@ from helpers import (
     extract_clauses_by_row,
     include_mask,
     set_clause,
+    traced_peak,
     type_i_feedback,
     type_ii_feedback,
     word_bags_from_clauses,
@@ -636,6 +637,68 @@ class TestModelPersistence:
             TMModel.load(path)
 
 
+class TestStoredModel:
+    """The read stages' stored model streams what ``load`` and the machine in memory hold."""
+
+    @pytest.mark.parametrize("feature_count", [1, 37, 70])
+    def test_stream_reads_what_memory_and_load_hold(self, tmp_path, monkeypatch, feature_count):
+        # Row blocks of 3 over 14 clauses: edges at rows 3 and 6 in the positive
+        # half, 9 and 12 in the negative half.
+        monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", 3 * 2 * 2 * feature_count)
+        rng = np.random.default_rng(feature_count)
+        vocab = Vocabulary(tuple(f"w{i:03d}" for i in range(feature_count)))
+        model = TMModel.create(small_params(clause_count=14), feature_count, vocab_hash=vocab.sha256())
+        for k, bank in enumerate(model.banks.values()):
+            include = rng.random(bank.state.shape) < (0.1, 0.5)[k]
+            include[rng.random(bank.clause_count) < 0.3] = False  # empty clauses
+            shape = bank.state.shape
+            bank.state[...] = np.where(include, rng.integers(9, 17, shape), rng.integers(1, 9, shape))
+        path = tmp_path / "model.tm"
+        model.save(path)
+        loaded = TMModel.load(path)
+        with StoredModel.open(path) as stored:
+            assert (stored.params, stored.feature_count) == (model.params, feature_count)
+            assert stored.vocab_hash == vocab.sha256()
+            for label, bank in stored.banks.items():
+                assert [start for start, _ in bank.include_blocks()] == [0, 3, 6, 9, 12]
+                counts = model.banks[label].include_counts()
+                assert np.array_equal(bank.include_counts(), counts)
+                assert np.array_equal(loaded.banks[label].include_counts(), counts)
+            bags = build_word_bags(model, vocab)
+            assert build_word_bags(stored, vocab) == bags == build_word_bags(loaded, vocab)
+            clauses = extract_clauses(model, vocab)
+            assert extract_clauses(stored, vocab) == clauses == extract_clauses(loaded, vocab)
+            assert clauses == extract_clauses_by_row(model, vocab)
+
+    def test_a_bad_state_stops_the_stream_at_its_own_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", 3 * 2 * 2 * 10)
+        model = TMModel.create(small_params(clause_count=14), 10)
+        model.banks[Label.NOVEL].state[-1, -1] = 17  # one past 2n, in the last block of the second bank
+        path = tmp_path / "model.tm"
+        model.save(path)
+        with StoredModel.open(path) as stored:
+            assert [start for start, _ in stored.banks[Label.KNOWN].include_blocks()] == [0, 3, 6, 9, 12]
+            starts = []
+            with pytest.raises(ValueError, match=r"novel clause states outside \[1, 16\]"):
+                for start, _ in stored.banks[Label.NOVEL].include_blocks():
+                    starts.append(start)
+            assert starts == [0, 3, 6, 9]
+        with pytest.raises(ValueError, match="novel clause states outside"):
+            TMModel.load(path)
+
+    def test_opening_checks_the_header_and_the_file_is_closed_after(self, tmp_path):
+        path = tmp_path / "junk.tm"
+        path.write_bytes(b'{"format": "something-else"}\nxxxx')
+        with pytest.raises(ValueError, match="not a model file"):
+            with StoredModel.open(path):
+                pass
+        case_study_model().save(path)
+        with StoredModel.open(path) as stored:
+            handle = stored.banks[Label.KNOWN]._fh
+            assert not handle.closed
+        assert handle.closed
+
+
 def _random_docs(seed: int, count: int, features: int, density: float = 0.05) -> list[BoolDoc]:
     rng = np.random.default_rng(seed)
     return [
@@ -719,18 +782,6 @@ class TestThreadedFeedback:
         assert (tmp_path / "a.tm").read_bytes() == (tmp_path / "b.tm").read_bytes()
 
 
-def _traced_peak(call) -> int:
-    """Bytes allocated at the peak of ``call()`` beyond the traced size just before it."""
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        call()
-        return tracemalloc.get_traced_memory()[1] - before
-    finally:
-        tracemalloc.stop()
-
-
 class TestFitMemory:
     """Training temporaries stay within their block budgets, not the bank's size."""
 
@@ -746,7 +797,7 @@ class TestFitMemory:
         monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", 512 << 10)
         bank, lits = self._bank()
         assert bank._block_rows * 4 < bank.clause_count
-        peak = _traced_peak(lambda: bank.fired(pack_bits(~lits), EvalMode.LEARNING))
+        peak = traced_peak(lambda: bank.fired(pack_bits(~lits), EvalMode.LEARNING))
         assert peak - bank._packed.nbytes - bank._nonempty.nbytes < bank.state.nbytes / 4
         include = include_mask(bank)
         assert np.array_equal(bank._packed, pack_bits(include).T)
@@ -759,5 +810,5 @@ class TestFitMemory:
         fired = bank.fired(pack_bits(~lits), EvalMode.LEARNING)
         forget = _bernoulli_positions(bank.state.size, 1 / 25, np.random.default_rng(4))
         rows = np.arange(bank.clause_count)
-        peak = _traced_peak(lambda: bank.type_i(rows[fired], rows[~fired], lits, forget))
+        peak = traced_peak(lambda: bank.type_i(rows[fired], rows[~fired], lits, forget))
         assert peak < 4 * tsetlin._FEEDBACK_BYTES
