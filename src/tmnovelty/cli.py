@@ -232,8 +232,8 @@ def cmd_context(config: RunConfig, word_list: str, target_class: Label) -> None:
         missing = [w for w in words if w not in table]
         if missing:
             raise ValidationError(f"words not scored by the model: {', '.join(missing)}")
-        clauses = tsetlin.extract_clauses(model, vocab)  # a second pass over the same open file
-    co = novelty.cooccurrence(clauses, target_class, clause_count=model.params.clause_count)
+        # A second pass over the same open file, of the target bank only.
+        co = novelty.word_pair_counts(model, target_class, words, vocab)
     path = outdir / f"context_{target_class.value}.csv"
     novelty.write_cooccurrence_matrix(co, table, words, path)
     print(f"context: {len(words)}x{len(words)} matrix for class {target_class.value}")

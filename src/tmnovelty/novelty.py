@@ -12,7 +12,9 @@ over its scored token occurrences by ``reduce_scores``, the one reduction
 behind both the mean-log ``aggregate`` column and the logistic document
 features.  Pair scores divide clause co-occurrence probability by the
 product of the two words' bag frequencies, exposing words that the clauses
-treat as one context.
+treat as one context.  The pair counts, too, come from the include actions
+with no clause objects: one pass over the target bank's row blocks counts
+only the requested words.
 """
 
 from __future__ import annotations
@@ -178,7 +180,10 @@ def cooccurrence(
 
     ``clause_count`` is the group's clause pool size, the denominator of
     every pair probability; it counts the empty clauses that extraction
-    omits.
+    omits.  No stage calls this: ``context`` counts with
+    ``word_pair_counts``.  It stays for callers that hold the clauses
+    already (``extract_clauses``), as the oracle of ``word_pair_counts``,
+    and because ``perfbench/spans.py`` wraps it by name.
     """
     group = [c for c in clauses if c.label is label]
     pairs: Counter[tuple[str, str]] = Counter()
@@ -192,6 +197,46 @@ def cooccurrence(
         pair_counts=dict(pairs),
         word_counts=dict(singles),
         clause_count=clause_count,
+    )
+
+
+class WordPairCounts(ClauseCooccurrence):
+    """Counts of the requested words only: any other word raises KeyError rather than reading as 0."""
+
+    def pair_count(self, w1: str, w2: str) -> int:
+        for word in (w1, w2):
+            if word not in self.word_counts:
+                raise KeyError(f"word not counted: {word!r}")
+        return super().pair_count(w1, w2)
+
+
+def word_pair_counts(
+    model: TMModel | StoredModel,
+    label: Label,
+    words: Sequence[str],
+    vocab: Vocabulary,
+) -> WordPairCounts:
+    """``cooccurrence`` of ``label``'s clauses, restricted to the given words, from one pass over the bank.
+
+    Each row block's plain columns of the words form a clause x word
+    matrix M; M.T @ M, summed over the blocks, holds each word's clause
+    count on its diagonal and each pair's count off it.  ``clause_count``
+    is the bank's pool size.
+    """
+    if len(vocab) != model.feature_count:
+        raise ValueError("vocabulary size != model feature count")
+    words = sorted(set(words))
+    columns = [vocab.index_of[w] for w in words]
+    counts = np.zeros((len(words), len(words)), dtype=np.int64)
+    for _, include in model.banks[label].include_blocks():
+        m = include[:, columns].astype(np.int64)
+        counts += m.T @ m
+    counts = counts.tolist()
+    return WordPairCounts(
+        label=label,
+        pair_counts={(w1, w2): counts[i][j] for (i, w1), (j, w2) in combinations(enumerate(words), 2)},
+        word_counts={w: counts[i][i] for i, w in enumerate(words)},
+        clause_count=model.params.clause_count,
     )
 
 

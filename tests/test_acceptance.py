@@ -32,6 +32,7 @@ from tmnovelty.novelty import (
     contextual_score,
     cooccurrence,
     novelty_scores,
+    word_pair_counts,
 )
 from synthetic import SyntheticConfig, generate_corpus
 from tmnovelty.tsetlin import ExtractedClause, Polarity, TMModel, TMParams, extract_clauses, fit
@@ -140,6 +141,8 @@ class SyntheticRun:
     categories: dict
     clauses: list
     clause_count: int
+    model: TMModel
+    vocab: Vocabulary
     tfidf_novel: dict
 
 
@@ -177,6 +180,8 @@ def synthetic_runs():
                 categories=categorize_words(bags),
                 clauses=clauses,
                 clause_count=params.clause_count,
+                model=model,
+                vocab=vocab,
                 tfidf_novel={w: tfidf.score(Label.NOVEL, w) for w in stats.doc_count_containing},
             )
         )
@@ -228,6 +233,21 @@ def test_c6_contextual_ordering(synthetic_runs):
     elapsed = time.perf_counter() - start
     assert successes >= 9, f"planted pair won for only {successes}/10 seeds"
     assert elapsed < 60.0
+
+
+def test_c6_one_pass_pair_counts_match_the_clause_counts(synthetic_runs):
+    # The counts that the context stage takes from the include blocks, against
+    # the clause-list counts C6 scores with, over every word of each run.
+    runs, _ = synthetic_runs
+    for run in runs:
+        words = list(reversed(run.vocab.words))
+        for label in (Label.KNOWN, Label.NOVEL):
+            oracle = cooccurrence(run.clauses, label, clause_count=run.clause_count)
+            co = word_pair_counts(run.model, label, words, run.vocab)
+            assert co.clause_count == oracle.clause_count
+            assert {(a, b): co.pair_count(a, b) for a in words for b in words} == {
+                (a, b): oracle.pair_count(a, b) for a in words for b in words
+            }
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tmnovelty import tsetlin
+from tmnovelty import novelty, tsetlin
 from tmnovelty.cli import EXIT_MISSING, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from tmnovelty.config import RunConfig, parse_config, serialize_config
 from tmnovelty.corpus import Label, Vocabulary, read_tokens, read_vocabulary, write_tokens, write_vocabulary
@@ -300,7 +300,11 @@ def test_read_stage_rejects_corrupt_model_and_writes_nothing(tmp_path, capsys, s
     assert not [name for name in READ_OUTPUTS if (out / name).exists()]
 
 
-@pytest.mark.parametrize("stage", READ_STAGES.values(), ids=READ_STAGES.keys())
+# The read stages, plus a context whose target bank is not the bad one.
+LAST_BLOCK_STAGES = {**READ_STAGES, "context-known": ["context", "--words", "rugby,cricket", "--target-class", "known"]}
+
+
+@pytest.mark.parametrize("stage", LAST_BLOCK_STAGES.values(), ids=LAST_BLOCK_STAGES.keys())
 def test_bad_state_in_the_last_block_of_the_second_bank_is_rejected(tmp_path, capsys, monkeypatch, stage):
     monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", 2 * 2 * 2 * len(CASE_STUDY_WORDS))  # two of four rows per block
     out = tmp_path / "out"
@@ -309,7 +313,7 @@ def test_bad_state_in_the_last_block_of_the_second_bank_is_rejected(tmp_path, ca
     (out / "model.tm").write_bytes(raw[:-2] + np.array([17], dtype="<i2").tobytes())
     assert main([*stage, "--out", str(out)]) == EXIT_VALIDATION
     assert "novel clause states outside [1, 16]" in one_line_error(capsys)
-    assert not [name for name in READ_OUTPUTS if (out / name).exists()]
+    assert not [name for name in (*READ_OUTPUTS, "context_known.csv") if (out / name).exists()]
 
 
 def test_context_reads_the_file_it_opened_when_the_path_is_replaced(tmp_path, monkeypatch):
@@ -325,36 +329,57 @@ def test_context_reads_the_file_it_opened_when_the_path_is_replaced(tmp_path, mo
     replacement = (tmp_path / "other" / "model.tm").read_bytes()
     out = tmp_path / "out"
     _case_study_run(out)
-    real_extract = tsetlin.extract_clauses
+    real_count = novelty.word_pair_counts
 
-    def replace_then_extract(model, vocab):
+    def replace_then_count(model, label, words, vocab):
         os.replace(tmp_path / "other" / "model.tm", out / "model.tm")
-        return real_extract(model, vocab)
+        return real_count(model, label, words, vocab)
 
-    monkeypatch.setattr(tsetlin, "extract_clauses", replace_then_extract)
+    monkeypatch.setattr(novelty, "word_pair_counts", replace_then_count)
     assert main(["context", "--words", "rugby,cricket", "--out", str(out)]) == EXIT_OK
     assert (out / "context_novel.csv").read_bytes() == expected
     assert (out / "model.tm").read_bytes() == replacement
 
 
-def test_describe_holds_no_state_image(tmp_path, monkeypatch):
-    monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", 512 << 10)
-    # 1 024 clauses per bank over 2 048 words: 16 MiB of states.
+def _save_16_mib_run(out, states):
+    """A model of 1 024 clauses per bank over 2 048 words (16 MiB of states) and its vocabulary, saved.
+
+    ``states(shape, rng)`` gives each bank's states.  Returns the words and the state bytes.
+    """
     words = tuple(a + b + c for a in "abcdefghijklmnop" for b in "abcdefghijklmnop" for c in "abcdefgh")
     vocab = Vocabulary(words)
     params = tsetlin.TMParams(clause_count=1024, vote_margin=5, sensitivity=3.0, state_count=8, seed=0)
     model = tsetlin.TMModel.create(params, len(vocab), vocab_hash=vocab.sha256())
     rng = np.random.default_rng(0)
     for bank in model.banks.values():
-        bank.state[...] = rng.integers(1, 17, size=bank.state.shape, dtype=np.int16)
-    out = tmp_path / "out"
+        bank.state[...] = states(bank.state.shape, rng)
     model.save(out / "model.tm")
     write_vocabulary(vocab, out / "vocabulary.txt")
-    state_bytes = sum(bank.state.nbytes for bank in model.banks.values())
+    return words, sum(bank.state.nbytes for bank in model.banks.values())
+
+
+def test_describe_holds_no_state_image(tmp_path, monkeypatch):
+    monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", 512 << 10)
+    out = tmp_path / "out"
+    _, state_bytes = _save_16_mib_run(out, lambda shape, rng: rng.integers(1, 17, size=shape, dtype=np.int16))
     assert state_bytes >= 8 << 20
-    del model, bank
     peak = traced_peak(lambda: main(["describe", "--out", str(out)]))
     assert (out / "score_table.csv").exists()
+    assert peak < state_bytes / 4
+
+
+def test_context_holds_no_clause_objects(tmp_path, monkeypatch):
+    monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", 512 << 10)
+    out = tmp_path / "out"
+
+    def sparse_states(shape, rng):
+        # Each literal included with probability 1/64: about 32 plain words a clause.
+        return np.where(rng.integers(0, 64, size=shape) == 0, 16, rng.integers(1, 9, size=shape, dtype=np.int16))
+
+    words, state_bytes = _save_16_mib_run(out, sparse_states)
+    assert state_bytes >= 8 << 20
+    peak = traced_peak(lambda: main(["context", "--words", ",".join(words[:8]), "--out", str(out)]))
+    assert (out / "context_novel.csv").exists()
     assert peak < state_bytes / 4
 
 
@@ -438,10 +463,10 @@ def test_context_checks_words_before_reading_clauses(tmp_path, capsys, monkeypat
     write_vocabulary(case_study_vocab(), out / "vocabulary.txt")
     case_study_model().save(out / "model.tm")
 
-    def no_extraction(*args, **kwargs):
-        raise AssertionError("context extracted clauses before checking --words")
+    def no_counting(*args, **kwargs):
+        raise AssertionError("context counted pairs before checking --words")
 
-    monkeypatch.setattr(tsetlin, "extract_clauses", no_extraction)
+    monkeypatch.setattr(novelty, "word_pair_counts", no_counting)
     assert main(["context", "--words", "rugby,zeppelin", "--out", str(out)]) == EXIT_VALIDATION
     assert "words not scored by the model: zeppelin" in one_line_error(capsys)
     assert not (out / "context_novel.csv").exists()

@@ -5,6 +5,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,9 +21,11 @@ from tmnovelty.novelty import (
     novelty_scores,
     reduce_scores,
     score_document,
+    word_pair_counts,
     write_score_table,
 )
-from tmnovelty.tsetlin import ExtractedClause, Polarity
+from tmnovelty import tsetlin
+from tmnovelty.tsetlin import ExtractedClause, Polarity, StoredModel, TMModel, TMParams
 
 from helpers import (
     EXPECTED_BAG_KNOWN,
@@ -30,6 +33,7 @@ from helpers import (
     case_study_clauses,
     case_study_model,
     case_study_vocab,
+    extract_clauses_by_row,
     model_from_clauses,
     word_bags_from_clauses,
 )
@@ -287,6 +291,65 @@ class TestCooccurrence:
     def test_explicit_clause_count_override(self):
         co = cooccurrence(case_study_clauses(), Label.NOVEL, clause_count=10)
         assert co.clause_count == 10
+
+
+class TestWordPairCounts:
+    """One pass over a bank's include blocks counts what ``cooccurrence`` counts over its clauses."""
+
+    def test_case_study_hand_values(self):
+        co = word_pair_counts(case_study_model(), Label.NOVEL, ["rugby", "old", "despite", "ball"], case_study_vocab())
+        # Counted by hand over the four novel clauses.
+        assert co.pair_count("rugby", "old") == co.pair_count("old", "rugby") == 2
+        assert co.pair_count("rugby", "rugby") == 2
+        assert co.pair_count("despite", "ball") == 0
+        assert (co.label, co.clause_count) == (Label.NOVEL, 4)
+
+    def test_a_word_not_requested_raises(self):
+        co = word_pair_counts(case_study_model(), Label.NOVEL, ["rugby", "old"], case_study_vocab())
+        with pytest.raises(KeyError, match="despite"):
+            co.pair_count("rugby", "despite")
+        with pytest.raises(KeyError, match="despite"):
+            co.pair_count("despite", "despite")
+        with pytest.raises(KeyError, match="zeppelin"):
+            word_pair_counts(case_study_model(), Label.NOVEL, ["rugby", "zeppelin"], case_study_vocab())
+
+    def test_vocabulary_size_mismatch_raises(self):
+        with pytest.raises(ValueError, match="feature count"):
+            word_pair_counts(case_study_model(), Label.NOVEL, ["rugby"], _VOCAB)
+
+    @pytest.mark.parametrize("feature_count", [1, 37, 70])
+    def test_equals_the_clause_list_oracle(self, tmp_path, monkeypatch, feature_count):
+        # Row blocks of 3 over 14 clauses: edges at rows 3 and 6 in the positive
+        # half, 9 and 12 in the negative half.
+        monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", 3 * 2 * 2 * feature_count)
+        rng = np.random.default_rng(feature_count)
+        vocab = Vocabulary(tuple(f"w{i:03d}" for i in range(feature_count)))
+        params = TMParams(clause_count=14, vote_margin=5, sensitivity=3.0, state_count=8)
+        model = TMModel.create(params, feature_count, vocab_hash=vocab.sha256())
+        for k, bank in enumerate(model.banks.values()):
+            include = rng.random(bank.state.shape) < (0.1, 0.5)[k]
+            include[rng.random(bank.clause_count) < 0.3] = False  # empty clauses
+            shape = bank.state.shape
+            bank.state[...] = np.where(include, rng.integers(9, 17, shape), rng.integers(1, 9, shape))
+        path = tmp_path / "model.tm"
+        model.save(path)
+        clauses = extract_clauses_by_row(model, vocab)
+        word_lists = [
+            list(reversed(vocab.words)),  # every word, reordered
+            [vocab.words[i] for i in rng.integers(0, feature_count, 6)],  # repeats
+            [vocab.words[-1]],
+        ]
+        with StoredModel.open(path) as stored:
+            assert [start for start, _ in stored.banks[Label.NOVEL].include_blocks()] == [0, 3, 6, 9, 12]
+            for source in (model, stored, TMModel.load(path)):
+                for label in (Label.KNOWN, Label.NOVEL):
+                    oracle = cooccurrence(clauses, label, clause_count=14)
+                    for words in word_lists:
+                        co = word_pair_counts(source, label, words, vocab)
+                        assert (co.label, co.clause_count) == (label, 14)
+                        assert {(a, b): co.pair_count(a, b) for a in words for b in words} == {
+                            (a, b): oracle.pair_count(a, b) for a in words for b in words
+                        }
 
 
 class TestContextualScore:

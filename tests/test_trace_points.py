@@ -29,15 +29,39 @@ assert tracer.counts["files.written_bytes"] == Path(model_path).stat().st_size, 
 """
 
 
-def test_benchmark_tracer_installs(tmp_path):
+# Installs the tracer, then runs the context stage through the CLI on the
+# case-study model, as a traced paper-describe round runs it.
+TRACED_CONTEXT = """
+import sys
+out = sys.argv.pop()
+sys.path[:0] = sys.argv[1:]
+from spans import Tracer
+Tracer().install()
+from helpers import case_study_model, case_study_vocab
+from tmnovelty.cli import main
+from tmnovelty.corpus import write_vocabulary
+write_vocabulary(case_study_vocab(), out + "/vocabulary.txt")
+case_study_model().save(out + "/model.tm")
+sys.exit(main(["context", "--words", "rugby,old,cricket", "--out", out]))
+"""
+
+
+def _run_traced(script: str, last_arg: Path) -> subprocess.CompletedProcess:
     # A fresh interpreter, so the wrapped functions never leak into this one.
-    result = subprocess.run(
-        [
-            sys.executable, "-c", TRACED_ROUND_TRIP,
-            str(ROOT / "perfbench"), str(ROOT / "src"), str(ROOT / "tests"), str(tmp_path / "model.tm"),
-        ],
+    return subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "perfbench"), str(ROOT / "src"), str(ROOT / "tests"), str(last_arg)],
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_benchmark_tracer_installs(tmp_path):
+    result = _run_traced(TRACED_ROUND_TRIP, tmp_path / "model.tm")
     assert result.returncode == 0, result.stderr
+
+
+def test_traced_context_stage_runs(tmp_path):
+    result = _run_traced(TRACED_CONTEXT, tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "context_novel.csv").is_file()
