@@ -1,10 +1,15 @@
-"""Atomic file writes: temp file in the target directory, then rename."""
+"""Atomic file writes (temp file in the target directory, then rename) and the one CSV writer."""
 
 from __future__ import annotations
 
 import os
+import re
 import tempfile
 from pathlib import Path
+from typing import Iterable, Sequence
+
+# A CSV field holding any of these is quoted, with its quotes doubled.
+_NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 def atomic_write_bytes(path: str | Path, data: bytes | memoryview) -> None:
@@ -33,3 +38,27 @@ def read_utf8(path: str | Path) -> str:
 
 def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str | int | float]]) -> None:
+    """Every stage's CSV output: the header line, then one line per row, each ending in "\\n".
+
+    A number is written as its repr, so pass Python ints and floats
+    (``.tolist()``; numpy 2 writes ``np.float64(...)``).  A string is quoted,
+    with its quotes doubled, iff it holds a comma, a quote, "\\r" or "\\n".
+    ``csv.writer`` is not used: under a "\\n" terminator Python 3.11 leaves
+    a bare "\\r" unquoted, and a reader then ends the row there.
+    """
+    lines = [_csv_line(header)]
+    lines.extend(map(_csv_line, rows))
+    atomic_write_text(path, "".join(lines))
+
+
+def _csv_line(fields: Sequence[str | int | float]) -> str:
+    return ",".join([_csv_field(v) if isinstance(v, str) else repr(v) for v in fields]) + "\n"
+
+
+def _csv_field(text: str) -> str:
+    if _NEEDS_QUOTES.search(text):
+        return '"' + text.replace('"', '""') + '"'
+    return text

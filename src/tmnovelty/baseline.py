@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from ._files import atomic_write_text
+from ._files import write_csv
 from .corpus import CorpusStats, Label, LABELS
 
 
@@ -54,14 +54,12 @@ def tfidf_scores(stats: CorpusStats) -> TfidfTable:
 
 def write_tfidf_table(table: TfidfTable, stats: CorpusStats, path: str | Path) -> None:
     """CSV export: word, tf per group, idf, score per group."""
-    rows = ["word,tf_known,tf_novel,idf,score_known,score_novel\n"]
-    for word in sorted(stats.doc_count_containing):
-        tf = {}
-        for label in LABELS:
-            count = stats.per_class_term_freq[label].get(word, 0)
-            tf[label] = count / stats.per_class_total_freq[label]
-        rows.append(
-            f"{word},{tf[Label.KNOWN]!r},{tf[Label.NOVEL]!r},{table.idf[word]!r},"
-            f"{table.score(Label.KNOWN, word)!r},{table.score(Label.NOVEL, word)!r}\n"
-        )
-    atomic_write_text(path, "".join(rows))
+    term_freq, total_freq = stats.per_class_term_freq, stats.per_class_total_freq
+    rows = (
+        (word,
+         term_freq[Label.KNOWN].get(word, 0) / total_freq[Label.KNOWN],
+         term_freq[Label.NOVEL].get(word, 0) / total_freq[Label.NOVEL],
+         table.idf[word], table.score(Label.KNOWN, word), table.score(Label.NOVEL, word))
+        for word in sorted(stats.doc_count_containing)
+    )
+    write_csv(path, ("word", "tf_known", "tf_novel", "idf", "score_known", "score_novel"), rows)

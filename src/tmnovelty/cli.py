@@ -2,10 +2,14 @@
 
 Every stage reads its inputs from the shared output directory, validates
 them, and writes its products atomically, so re-running a stage with
-unchanged inputs rewrites byte-identical files.  A stage takes flags only
-for the settings it reads, and records those settings in
-``<stage>_config.txt`` once it succeeds.  Exit codes: 0 ok, 1 validation
-failure, 2 missing input.
+unchanged inputs rewrites byte-identical files.  Every CSV goes through
+``_files.write_csv``.  A stage takes flags only for the settings it reads,
+and records those settings in ``<stage>_config.txt`` once it succeeds.
+
+A stage refuses bad input by raising: ``MissingInputError`` for an input
+that is not there, ``ValueError`` for one that is wrong.  ``main`` alone
+turns these into one ``error:`` line and an exit code: 0 ok, 1 validation
+failure (``ValueError``), 2 missing input (``MissingInputError``).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from pathlib import Path
 
 from . import baseline, evaluation, novelty, tsetlin
 from . import corpus as corpus_mod
-from ._files import atomic_write_text, read_utf8
+from ._files import atomic_write_text, read_utf8, write_csv
 from .config import PROFILES, RunConfig, parse_config, serialize_config
 from .corpus import Label
 
@@ -31,12 +35,8 @@ EXIT_VALIDATION = 1
 EXIT_MISSING = 2
 
 
-class ValidationError(Exception):
-    exit_code = EXIT_VALIDATION
-
-
 class MissingInputError(Exception):
-    exit_code = EXIT_MISSING
+    """A stage input that is not there; ``main`` exits 2 on it."""
 
 
 @contextmanager
@@ -54,7 +54,7 @@ def _output_lock(outdir: Path):
             break
         except FileExistsError:
             if attempt or not _lock_is_stale(lock):
-                raise ValidationError(f"output directory is locked (remove {lock} if stale)") from None
+                raise ValueError(f"output directory is locked (remove {lock} if stale)") from None
             lock.unlink(missing_ok=True)
     try:
         os.write(fd, str(os.getpid()).encode())
@@ -94,7 +94,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         try:
             config = parse_config(read_utf8(path), config)
         except ValueError as err:
-            raise ValidationError(f"malformed config: {err}") from None
+            raise ValueError(f"malformed config: {err}") from None
     if getattr(args, "profile", None):
         config.apply_profile(args.profile)
     for f in dataclasses.fields(RunConfig):
@@ -114,7 +114,7 @@ def _load_raw_corpus(config: RunConfig) -> list[corpus_mod.RawDoc]:
              "known_dir/novel_dir": config.known_dir or config.novel_dir}
     sources = [name for name, value in given.items() if value]
     if len(sources) > 1:
-        raise ValidationError(f"more than one corpus source: {', '.join(sources)} (set only one)")
+        raise ValueError(f"more than one corpus source: {', '.join(sources)} (set only one)")
     try:
         if config.csv_path:
             raw = corpus_mod.read_csv_corpus(config.csv_path)
@@ -122,20 +122,18 @@ def _load_raw_corpus(config: RunConfig) -> list[corpus_mod.RawDoc]:
             known = [g for g in (config.known_groups or "").split(";") if g]
             novel = [g for g in (config.novel_groups or "").split(";") if g]
             if not known or not novel:
-                raise ValidationError("data_root requires known_groups and novel_groups")
+                raise ValueError("data_root requires known_groups and novel_groups")
             raw = corpus_mod.read_grouped_dirs(config.data_root, known, novel)
         elif config.known_dir and config.novel_dir:
             raw = corpus_mod.read_class_dirs(config.known_dir, config.novel_dir)
         else:
-            raise ValidationError("no corpus source configured (need known_dir+novel_dir, data_root, or csv_path)")
+            raise ValueError("no corpus source configured (need known_dir+novel_dir, data_root, or csv_path)")
     except FileNotFoundError as err:
         raise MissingInputError(str(err)) from None
-    except ValueError as err:
-        raise ValidationError(str(err)) from None
     seen: set[str] = set()
     for doc_id, _, _ in raw:
         if doc_id in seen:
-            raise ValidationError(f"duplicate doc id in the corpus: {doc_id!r}")
+            raise ValueError(f"duplicate doc id in the corpus: {doc_id!r}")
         seen.add(doc_id)
     return raw
 
@@ -154,18 +152,14 @@ def _read_vocab(outdir: Path) -> corpus_mod.Vocabulary:
 def _read_model(outdir: Path, vocab: corpus_mod.Vocabulary) -> Iterator[tsetlin.StoredModel]:
     with tsetlin.StoredModel.open(_require(outdir / "model.tm", "model")) as model:
         if model.vocab_hash and model.vocab_hash != vocab.sha256():
-            raise ValidationError("vocabulary hash mismatch between model and corpus")
+            raise ValueError("vocabulary hash mismatch between model and corpus")
         yield model
 
 
 def _score_table(vocab: corpus_mod.Vocabulary, model: tsetlin.StoredModel):
     """Bags and scores; this reads every state block, so a bad state stops a stage before it writes."""
     bags = novelty.build_word_bags(model, vocab)
-    try:
-        table = novelty.novelty_scores(bags)
-    except ValueError as err:
-        raise ValidationError(str(err)) from None
-    return bags, table
+    return bags, novelty.novelty_scores(bags)
 
 
 # -- commands ----------------------------------------------------------------
@@ -178,14 +172,11 @@ def cmd_ingest(config: RunConfig) -> None:
         (doc_id, label, corpus_mod.normalize(corpus_mod.tokenize(text), stoplist, stemming=config.stemming))
         for doc_id, label, text in raw
     ]
-    try:
-        vocab = corpus_mod.build_vocabulary(
-            [tokens for _, _, tokens in normalized],
-            min_df=config.min_df,
-            max_features=config.max_features,
-        )
-    except ValueError as err:
-        raise ValidationError(str(err)) from None
+    vocab = corpus_mod.build_vocabulary(
+        [tokens for _, _, tokens in normalized],
+        min_df=config.min_df,
+        max_features=config.max_features,
+    )
     outdir = _outdir(config)
     corpus_mod.write_vocabulary(vocab, outdir / "vocabulary.txt")
     corpus_mod.write_tokens(normalized, outdir / "tokens.csv")
@@ -198,16 +189,11 @@ def cmd_train(config: RunConfig) -> None:
     outdir = _outdir(config)
     vocab = _read_vocab(outdir)
     docs = corpus_mod.read_booldocs(_require(outdir / "booldocs.csv", "boolean documents"), len(vocab))
-    try:
-        params = config.tm_params()
-        model = tsetlin.TMModel.create(params, len(vocab), vocab_hash=vocab.sha256())
-        model, trace = tsetlin.fit(model, docs, epochs=config.epochs)
-    except ValueError as err:
-        raise ValidationError(str(err)) from None
+    model = tsetlin.TMModel.create(config.tm_params(), len(vocab), vocab_hash=vocab.sha256())
+    model, trace = tsetlin.fit(model, docs, epochs=config.epochs)
     model.save(outdir / "model.tm")
     tsetlin.write_clause_dump(tsetlin.extract_clauses(model, vocab), outdir / "clauses.csv")
-    trace_rows = ["epoch,train_accuracy\n"] + [f"{i},{acc!r}\n" for i, acc in enumerate(trace)]
-    atomic_write_text(outdir / "epoch_trace.csv", "".join(trace_rows))
+    write_csv(outdir / "epoch_trace.csv", ("epoch", "train_accuracy"), enumerate(trace))
     print(f"train: {config.epochs} epochs, final accuracy {trace[-1]:.4f}")
 
 
@@ -224,14 +210,14 @@ def cmd_describe(config: RunConfig) -> None:
 def cmd_context(config: RunConfig, word_list: str, target_class: Label) -> None:
     words = [w for w in word_list.split(",") if w]
     if not words:
-        raise ValidationError("--words names no word")
+        raise ValueError("--words names no word")
     outdir = _outdir(config)
     vocab = _read_vocab(outdir)
     with _read_model(outdir, vocab) as model:
         _, table = _score_table(vocab, model)
         missing = [w for w in words if w not in table]
         if missing:
-            raise ValidationError(f"words not scored by the model: {', '.join(missing)}")
+            raise ValueError(f"words not scored by the model: {', '.join(missing)}")
         # A second pass over the same open file, of the target bank only.
         co = novelty.word_pair_counts(model, target_class, words, vocab)
     path = outdir / f"context_{target_class.value}.csv"
@@ -242,11 +228,8 @@ def cmd_context(config: RunConfig, word_list: str, target_class: Label) -> None:
 def cmd_tfidf(config: RunConfig) -> None:
     outdir = _outdir(config)
     token_docs = corpus_mod.read_tokens(_require(outdir / "tokens.csv", "token table"))
-    try:
-        stats = corpus_mod.corpus_stats([(label, tokens) for _, label, tokens in token_docs])
-        table = baseline.tfidf_scores(stats)
-    except ValueError as err:
-        raise ValidationError(str(err)) from None
+    stats = corpus_mod.corpus_stats([(label, tokens) for _, label, tokens in token_docs])
+    table = baseline.tfidf_scores(stats)
     baseline.write_tfidf_table(table, stats, outdir / "tfidf.csv")
     print(f"tfidf: {len(stats.doc_count_containing)} words scored")
 
@@ -269,31 +252,18 @@ def cmd_eval(config: RunConfig) -> None:
     for word, category in categories.items():
         by_category[category.value].append(table.scores[word])
     stats_rows = evaluation.summary_stats(by_category)
-    cfd_curves = {
-        name: evaluation.cfd(values, dedup=True) for name, values in by_category.items() if values
-    }
+    cfd_curves = {name: evaluation.cfd(values) for name, values in by_category.items() if values}
 
-    try:
-        tm_result = evaluation.score_discrimination(docs, labels, table.scores, seed=config.seed)
-        tfidf_result = evaluation.score_discrimination(docs, labels, tfidf_novel, seed=config.seed)
-    except ValueError as err:
-        raise ValidationError(str(err)) from None
+    tm_result = evaluation.score_discrimination(docs, labels, table.scores, seed=config.seed)
+    tfidf_result = evaluation.score_discrimination(docs, labels, tfidf_novel, seed=config.seed)
 
-    doc_rows = ["doc_id,label,aggregate\n"]
+    doc_rows = []
     for (doc_id, label, tokens) in token_docs:
         aggregate = novelty.score_document(tokens, table)
-        rendered = "" if aggregate is None else repr(aggregate)
-        doc_rows.append(f"{doc_id},{label.value},{rendered}\n")
-    atomic_write_text(outdir / "doc_scores.csv", "".join(doc_rows))
+        doc_rows.append((doc_id, label.value, "" if aggregate is None else aggregate))
+    write_csv(outdir / "doc_scores.csv", ("doc_id", "label", "aggregate"), doc_rows)
 
-    report = evaluation.EvalReport(
-        category_stats=stats_rows,
-        cfd_curves=cfd_curves,
-        tm_result=tm_result,
-        tfidf_result=tfidf_result,
-        seed=config.seed,
-    )
-    evaluation.write_report_json(report, outdir / "report.json")
+    evaluation.write_report_json(outdir / "report.json", config.seed, stats_rows, cfd_curves, tm_result, tfidf_result)
     evaluation.write_curve_csv(tm_result.curves.roc_points, ("fpr", "tpr"), outdir / "roc_tm.csv")
     evaluation.write_curve_csv(tm_result.curves.pr_points, ("recall", "precision"), outdir / "pr_tm.csv")
     evaluation.write_curve_csv(tfidf_result.curves.roc_points, ("fpr", "tpr"), outdir / "roc_tfidf.csv")
@@ -378,12 +348,9 @@ def main(argv: list[str] | None = None) -> int:
                 run(config)
             if settings:
                 atomic_write_text(outdir / f"{args.command}_config.txt", serialize_config(config, settings))
-    except (ValidationError, MissingInputError) as err:
+    except (MissingInputError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
-        return err.exit_code
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_MISSING if isinstance(err, MissingInputError) else EXIT_VALIDATION
     return EXIT_OK
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import re
+import sys
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
@@ -22,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from ._files import atomic_write_text, read_utf8
+from ._files import atomic_write_text, read_utf8, write_csv
 
 _TOKEN_RE = re.compile(r"[a-z]+")
 
@@ -297,11 +298,8 @@ def read_vocabulary(path: str | Path) -> Vocabulary:
 
 
 def write_booldocs(docs: Iterable[BoolDoc], path: str | Path) -> None:
-    rows = ["doc_id,label,set_bits\n"]
-    for doc in docs:
-        indices = ";".join(str(i) for i in np.flatnonzero(doc.bits))
-        rows.append(f"{_csv_quote(doc.doc_id)},{doc.label.value},{indices}\n")
-    atomic_write_text(path, "".join(rows))
+    rows = ((doc.doc_id, doc.label.value, ";".join(map(str, np.flatnonzero(doc.bits).tolist()))) for doc in docs)
+    write_csv(path, ("doc_id", "label", "set_bits"), rows)
 
 
 def read_booldocs(path: str | Path, vocab_size: int) -> list[BoolDoc]:
@@ -318,10 +316,8 @@ def read_booldocs(path: str | Path, vocab_size: int) -> list[BoolDoc]:
 
 
 def write_tokens(docs: Iterable[tuple[str, Label, Sequence[str]]], path: str | Path) -> None:
-    rows = ["doc_id,label,tokens\n"]
-    for doc_id, label, tokens in docs:
-        rows.append(f"{_csv_quote(doc_id)},{label.value},{' '.join(tokens)}\n")
-    atomic_write_text(path, "".join(rows))
+    rows = ((doc_id, label.value, " ".join(tokens)) for doc_id, label, tokens in docs)
+    write_csv(path, ("doc_id", "label", "tokens"), rows)
 
 
 def read_tokens(path: str | Path) -> list[tuple[str, Label, list[str]]]:
@@ -332,7 +328,11 @@ def read_tokens(path: str | Path) -> list[tuple[str, Label, list[str]]]:
 
 
 def _csv_rows(path: str | Path, columns: Sequence[str]) -> Iterator[dict[str, str]]:
-    """Rows of a CSV file whose header names every given column; each row must fill them."""
+    """Rows of a CSV file whose header names every given column; each row must fill them.
+
+    Fields may be of any length: a long document's token list is one field.
+    """
+    csv.field_size_limit(sys.maxsize)
     name = Path(path).name
     with Path(path).open(newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
@@ -346,9 +346,3 @@ def _csv_rows(path: str | Path, columns: Sequence[str]) -> Iterator[dict[str, st
                 yield row
         except UnicodeDecodeError:
             raise ValueError(f"{name}: not UTF-8 text") from None
-
-
-def _csv_quote(value: str) -> str:
-    if any(c in value for c in ',"\n'):
-        return '"' + value.replace('"', '""') + '"'
-    return value

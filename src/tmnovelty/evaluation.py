@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from pathlib import Path
 from statistics import fmean, pstdev
@@ -21,7 +21,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._files import atomic_write_text
+from ._files import atomic_write_text, write_csv
 from .corpus import Label
 from .novelty import Aggregator, WordBags, reduce_scores
 
@@ -49,23 +49,19 @@ def categorize_words(bags: WordBags) -> dict[str, WordCategory]:
     return out
 
 
-def cfd(scores: Sequence[float], dedup: bool = False) -> list[tuple[float, float]]:
-    """Cumulative frequency distribution points, sorted ascending.
+def cfd(scores: Sequence[float]) -> list[tuple[float, float]]:
+    """Cumulative frequency distribution points, one per distinct value, sorted ascending.
 
-    Point k is (value_k, (k+1)/n).  With ``dedup`` each distinct value keeps
-    only its final (highest) cumulative fraction, which is the export shape.
+    Over the sorted scores v_0 <= ... <= v_(n-1), each distinct value is
+    paired with the fraction of scores at or below it: (v_k, (k+1)/n) for
+    the last k holding that value.
     """
     if len(scores) == 0:
         raise ValueError("empty score list")
     ordered = sorted(scores)
     n = len(ordered)
-    points = [(float(v), (k + 1) / n) for k, v in enumerate(ordered)]
-    if dedup:
-        last: dict[float, float] = {}
-        for v, frac in points:
-            last[v] = frac
-        points = sorted(last.items())
-    return points
+    last = {float(v): (k + 1) / n for k, v in enumerate(ordered)}
+    return sorted(last.items())
 
 
 @dataclass(frozen=True)
@@ -255,22 +251,25 @@ def roc_pr(scores: Sequence[float], targets: Sequence[bool | int]) -> RankingCur
 # ---------------------------------------------------------------------------
 
 
-def train_test_split(
-    labels: Sequence[Label],
-    test_fraction: float = 0.3,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stratified index split; within each label the split is seeded and exact."""
+# The share of each label's documents held out to test on.
+TEST_FRACTION = 0.3
+
+
+def train_test_split(labels: Sequence[Label], seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Stratified index split; within each label the split is seeded and exact.
+
+    Each label must put at least one document on each side.
+    """
     labels = list(labels)
     rng = np.random.default_rng(seed)
     train_idx: list[int] = []
     test_idx: list[int] = []
     for label in (Label.KNOWN, Label.NOVEL):
         members = np.array([i for i, lab in enumerate(labels) if lab is label])
-        if members.size == 0:
-            continue
+        n_test = int(round(members.size * TEST_FRACTION))
+        if not 0 < n_test < members.size:
+            raise ValueError(f"{members.size} {label.value} document(s) cannot be split for held-out evaluation (need 2)")
         members = members[rng.permutation(members.size)]
-        n_test = int(round(members.size * test_fraction))
         test_idx.extend(members[:n_test].tolist())
         train_idx.extend(members[n_test:].tolist())
     return np.array(sorted(train_idx)), np.array(sorted(test_idx))
@@ -310,42 +309,28 @@ def score_discrimination(
     )
 
 
-@dataclass
-class EvalReport:
-    """Everything the evaluation stage writes: tables, curves, scalars."""
-
-    category_stats: list[CategoryStats]
-    cfd_curves: dict[str, list[tuple[float, float]]]
-    tm_result: DiscriminationResult
-    tfidf_result: DiscriminationResult
-    seed: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "category_stats": [
-                {"category": r.category, "count": r.count, "mean": r.mean, "stddev": r.stddev}
-                for r in self.category_stats
-            ],
-            "cfd": {name: [[v, f] for v, f in pts] for name, pts in self.cfd_curves.items()},
-            "tm": _result_dict(self.tm_result),
-            "tfidf": _result_dict(self.tfidf_result),
-        }
-
-
-def _result_dict(result: DiscriminationResult) -> dict:
-    return {
-        "auc": result.auc,
-        "average_precision": result.average_precision,
-        "test_accuracy": result.test_accuracy,
+def write_report_json(
+    path: str | Path,
+    seed: int,
+    category_stats: Sequence[CategoryStats],
+    cfd_curves: Mapping[str, Sequence[tuple[float, float]]],
+    tm_result: DiscriminationResult,
+    tfidf_result: DiscriminationResult,
+) -> None:
+    """report.json: the split seed, per-category stats, CFD points, and each method's held-out scores."""
+    report = {
+        "seed": seed,
+        "category_stats": [asdict(r) for r in category_stats],
+        "cfd": {name: [list(point) for point in points] for name, points in cfd_curves.items()},
     }
-
-
-def write_report_json(report: EvalReport, path: str | Path) -> None:
-    atomic_write_text(path, json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n")
+    for name, result in (("tm", tm_result), ("tfidf", tfidf_result)):
+        report[name] = {
+            "auc": result.auc,
+            "average_precision": result.average_precision,
+            "test_accuracy": result.test_accuracy,
+        }
+    atomic_write_text(path, json.dumps(report, sort_keys=True, indent=2) + "\n")
 
 
 def write_curve_csv(points: Sequence[tuple[float, float]], header: tuple[str, str], path: str | Path) -> None:
-    rows = [f"{header[0]},{header[1]}\n"]
-    rows.extend(f"{x!r},{y!r}\n" for x, y in points)
-    atomic_write_text(path, "".join(rows))
+    write_csv(path, header, points)

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._files import atomic_write_text
+from ._files import write_csv
 from .corpus import Label, Vocabulary
 from .tsetlin import ExtractedClause, StoredModel, TMModel
 
@@ -269,14 +269,13 @@ def contextual_score(
 
 def write_score_table(bags: WordBags, table: ScoreTable, path: str | Path) -> None:
     """CSV export sorted by descending score: word, counts, frequencies, score."""
-    rows = ["word,freq_known,freq_novel,rel_freq_known,rel_freq_novel,score\n"]
     ordering = sorted(table.scores, key=lambda w: (-table.scores[w], w))
-    for word in ordering:
-        rows.append(
-            f"{word},{bags.known.get(word, 0)},{bags.novel.get(word, 0)},"
-            f"{table.rel_freq_known[word]!r},{table.rel_freq_novel[word]!r},{table.scores[word]!r}\n"
-        )
-    atomic_write_text(path, "".join(rows))
+    rows = (
+        (word, bags.known.get(word, 0), bags.novel.get(word, 0),
+         table.rel_freq_known[word], table.rel_freq_novel[word], table.scores[word])
+        for word in ordering
+    )
+    write_csv(path, ("word", "freq_known", "freq_novel", "rel_freq_known", "rel_freq_novel", "score"), rows)
 
 
 def write_cooccurrence_matrix(
@@ -286,14 +285,8 @@ def write_cooccurrence_matrix(
     path: str | Path,
 ) -> None:
     """Upper-triangular CSV of pair scores for the requested word list."""
-    header = "word," + ",".join(words) + "\n"
-    rows = [header]
-    for i, w1 in enumerate(words):
-        cells: list[str] = [w1]
-        for j, w2 in enumerate(words):
-            if j < i:
-                cells.append("")
-            else:
-                cells.append(repr(contextual_score(co, table, w1, w2)))
-        rows.append(",".join(cells) + "\n")
-    atomic_write_text(path, "".join(rows))
+    rows = (
+        [w1, *("" if j < i else contextual_score(co, table, w1, w2) for j, w2 in enumerate(words))]
+        for i, w1 in enumerate(words)
+    )
+    write_csv(path, ("word", *words), rows)

@@ -54,7 +54,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ._files import atomic_write_bytes
+from ._files import atomic_write_bytes, write_csv
 from .corpus import BoolDoc, Label, Vocabulary
 
 _MODEL_FORMAT = "tmnovelty-model"
@@ -597,9 +597,8 @@ def extract_clauses(model: TMModel | StoredModel, vocab: Vocabulary) -> list[Ext
 
 def write_clause_dump(clauses: Sequence[ExtractedClause], path: str | Path) -> None:
     """CSV dump: class, polarity, clause_index, plain and negated words ';'-joined."""
-    rows = ["class,polarity,clause_index,plain_words,negated_words\n"]
-    for c in clauses:
-        plain = ";".join(sorted(c.plain_words))
-        negated = ";".join(sorted(c.negated_words))
-        rows.append(f"{c.label.value},{c.polarity.value},{c.index},{plain},{negated}\n")
-    atomic_write_bytes(path, "".join(rows).encode("utf-8"))
+    rows = (
+        (c.label.value, c.polarity.value, c.index, ";".join(sorted(c.plain_words)), ";".join(sorted(c.negated_words)))
+        for c in clauses
+    )
+    write_csv(path, ("class", "polarity", "clause_index", "plain_words", "negated_words"), rows)

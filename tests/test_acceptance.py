@@ -153,7 +153,7 @@ def synthetic_runs():
     for seed in SEEDS:
         corpus = generate_corpus(SyntheticConfig(), seed=seed)
         vocab = build_vocabulary(corpus.docs)
-        train_idx, _ = train_test_split(corpus.labels, test_fraction=0.3, seed=seed)
+        train_idx, _ = train_test_split(corpus.labels, seed=seed)
         train_docs = [
             BoolDoc(f"d{i}", corpus.labels[i], booleanize(corpus.docs[i], vocab))
             for i in train_idx

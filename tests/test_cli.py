@@ -1,5 +1,6 @@
 """End-to-end pipeline, exit codes, idempotence, and config round-trips."""
 
+import csv
 import dataclasses
 import json
 import os
@@ -82,6 +83,9 @@ class TestPipeline:
         doc_rows = (out / "doc_scores.csv").read_text("utf-8").splitlines()
         assert doc_rows[0] == "doc_id,label,aggregate"
         assert len(doc_rows) == 13  # header + twelve documents
+        for path in sorted(out.glob("*.csv")):
+            header, *rows = read_csv(path)
+            assert all(len(row) == len(header) for row in rows), path.name
 
     def test_context_command(self, tmp_path, corpus_dirs):
         out = run_pipeline(tmp_path, corpus_dirs)
@@ -102,6 +106,57 @@ class TestPipeline:
         before = (out / "model.tm").read_bytes()
         assert main(["train", *TRAIN_PARAMS, "--epochs", "10", "--seed", "7", "--out", str(out)]) == EXIT_OK
         assert (out / "model.tm").read_bytes() == before
+
+
+def read_csv(path):
+    with path.open(newline="", encoding="utf-8") as fh:
+        return list(csv.reader(fh))
+
+
+class TestCsvFields:
+    """Any doc id and any document length survive every stage's CSV round trip."""
+
+    def test_long_document_runs_every_stage(self, tmp_path, corpus_dirs):
+        known, _ = corpus_dirs
+        words = ("cricket", "england", "six", "match", "ball")
+        (known / "long.txt").write_text(" ".join(words[i % 5] for i in range(30_000)), "utf-8")
+        out = ["--out", str(tmp_path / "out")]
+        assert main(["ingest", *corpus_flags(corpus_dirs), *out]) == EXIT_OK
+        assert max(len(line) for line in (tmp_path / "out" / "tokens.csv").read_text("utf-8").splitlines()) > 131_072
+        assert main(["train", "--profile", "desk", "--epochs", "2", *out]) == EXIT_OK
+        assert main(["tfidf", *out]) == EXIT_OK
+        assert main(["eval", *out]) == EXIT_OK
+
+    def test_csv_corpus_with_a_long_text_ingests(self, tmp_path):
+        text = " ".join(["rugby scrum"] * 20_000)
+        assert len(text) > 131_072
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text(f"doc_id,label,text\na,known,cricket six\nb,novel,{text}\n", "utf-8")
+        assert main(["ingest", "--csv-path", str(corpus), "--out", str(tmp_path / "out")]) == EXIT_OK
+        tokens = read_tokens(tmp_path / "out" / "tokens.csv")
+        assert [len(t) for _, _, t in tokens] == [2, 40_000]
+
+    def test_doc_ids_with_csv_specials_round_trip(self, tmp_path):
+        ids = ["a,b", 'say "hi"', "cr\rlf", "nl\nx"]
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_bytes(
+            'doc_id,label,text\n'
+            '"a,b",known,england won the cricket match hitting six\n'
+            '"say ""hi""",known,cricket six england ball\n'
+            '"cr\rlf",novel,rugby match despite old ball\n'
+            '"nl\nx",novel,old rugby despite england\n'.encode("utf-8")
+        )
+        out = tmp_path / "out"
+        assert main(["ingest", "--csv-path", str(corpus), "--out", str(out)]) == EXIT_OK
+        assert main(["train", *TRAIN_PARAMS, "--epochs", "10", "--seed", "1", "--out", str(out)]) == EXIT_OK
+        assert main(["describe", "--out", str(out)]) == EXIT_OK
+        words = ",".join(row[0] for row in read_csv(out / "score_table.csv")[1:3])
+        assert main(["context", "--words", words, "--out", str(out)]) == EXIT_OK
+        assert main(["tfidf", "--out", str(out)]) == EXIT_OK
+        assert main(["eval", "--seed", "1", "--out", str(out)]) == EXIT_OK
+        for name in ("tokens.csv", "booldocs.csv", "doc_scores.csv"):
+            with (out / name).open(newline="", encoding="utf-8") as fh:
+                assert [row["doc_id"] for row in csv.DictReader(fh)] == ids, name
 
 
 def small_run(tmp_path, corpus_dirs):
@@ -225,6 +280,17 @@ class TestExitCodes:
         code = main(["describe", *run["describe"]])
         assert code == EXIT_VALIDATION
         assert "hash mismatch" in capsys.readouterr().err
+
+    def test_eval_of_a_label_too_small_to_split(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("doc_id,label,text\na,known,cricket six england\nb,novel,rugby old despite\n", "utf-8")
+        out = ["--out", str(tmp_path / "out")]
+        assert main(["ingest", "--csv-path", str(corpus), *out]) == EXIT_OK
+        assert main(["train", *TRAIN_PARAMS, "--epochs", "5", *out]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["eval", *out]) == EXIT_VALIDATION
+        assert "1 known document(s) cannot be split" in one_line_error(capsys)
+        assert not (tmp_path / "out" / "report.json").exists()
 
 
 def _without(mapping, key):

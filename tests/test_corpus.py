@@ -1,5 +1,7 @@
 """Tokenization, stemming, vocabulary, booleanization, stats, and file formats."""
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from tmnovelty.corpus import (
     write_tokens,
     write_vocabulary,
 )
+from tmnovelty._files import write_csv
 from synthetic import _word_series
 
 from helpers import CASE_STUDY_WORDS
@@ -260,3 +263,15 @@ class TestLoadersAndExports:
         write_tokens(rows, path)
         loaded = read_tokens(path)
         assert loaded == [("d1", Label.KNOWN, ["a", "b"]), ("d2", Label.NOVEL, ["c"])]
+
+    def test_write_csv_quotes_exactly_the_fields_that_need_it(self, tmp_path):
+        texts = ["a,b", 'say "hi"', "cr\rlf", "nl\nx", "plain", ""]
+        path = tmp_path / "table.csv"
+        write_csv(path, ("text", "count", "score"), [(t, 3, 0.1 + 0.2) for t in texts] + [("n", -1, 1e-05)])
+        assert path.read_bytes() == (
+            b'text,count,score\n"a,b",3,0.30000000000000004\n"say ""hi""",3,0.30000000000000004\n'
+            b'"cr\rlf",3,0.30000000000000004\n"nl\nx",3,0.30000000000000004\nplain,3,0.30000000000000004\n'
+            b',3,0.30000000000000004\nn,-1,1e-05\n'
+        )
+        with path.open(newline="", encoding="utf-8") as fh:
+            assert [row[0] for row in csv.reader(fh)] == ["text", *texts, "n"]

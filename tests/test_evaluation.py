@@ -47,8 +47,7 @@ class TestCategorizeWords:
 
 class TestCfd:
     def test_constant_scores_dedup_modes(self):
-        assert cfd([1, 1, 1], dedup=True) == [(1.0, 1.0)]
-        assert cfd([1, 1, 1]) == [(1.0, 1 / 3), (1.0, 2 / 3), (1.0, 1.0)]
+        assert cfd([1, 1, 1]) == [(1.0, 1.0)]
 
     def test_fraction_below_threshold(self):
         points = cfd([1, 2, 3, 4])
@@ -208,12 +207,18 @@ class TestDocFeatures:
 class TestTrainTestSplit:
     def test_stratified_and_disjoint(self):
         labels = [Label.KNOWN] * 10 + [Label.NOVEL] * 10
-        train, test = train_test_split(labels, test_fraction=0.3, seed=1)
+        train, test = train_test_split(labels, seed=1)
         assert len(train) == 14 and len(test) == 6
         assert set(train) | set(test) == set(range(20))
         assert not set(train) & set(test)
         test_known = sum(1 for i in test if labels[i] is Label.KNOWN)
         assert test_known == 3
+
+    @pytest.mark.parametrize("known,novel", [(1, 1), (1, 5), (5, 0)])
+    def test_a_label_too_small_to_split_is_refused(self, known, novel):
+        label = "known" if known < 2 else "novel"
+        with pytest.raises(ValueError, match=f"{min(known, novel)} {label} document"):
+            train_test_split([Label.KNOWN] * known + [Label.NOVEL] * novel)
 
     def test_seeded_determinism(self):
         labels = [Label.KNOWN] * 7 + [Label.NOVEL] * 5
