@@ -29,7 +29,6 @@ from .evaluation import (
     summary_stats,
 )
 from .novelty import (
-    Aggregator,
     ClauseCooccurrence,
     ScoreTable,
     WordBags,
@@ -53,7 +52,6 @@ from .tsetlin import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Aggregator",
     "BoolDoc",
     "ClauseBank",
     "ClauseCooccurrence",

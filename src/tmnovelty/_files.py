@@ -29,9 +29,9 @@ def atomic_write_bytes(path: str | Path, data: bytes | memoryview) -> None:
 
 
 def read_utf8(path: str | Path) -> str:
-    """A text file's contents; bytes that are not UTF-8 raise ValueError naming the file."""
+    """A text file's contents, less a leading byte-order mark; non-UTF-8 bytes raise ValueError naming the file."""
     try:
-        return Path(path).read_text("utf-8")
+        return Path(path).read_text("utf-8-sig")
     except UnicodeDecodeError:
         raise ValueError(f"{path}: not UTF-8 text") from None
 

@@ -46,7 +46,10 @@ def _output_lock(outdir: Path):
     A lock whose recorded PID names no live process was left by a crashed
     stage; it is removed and taken.  Any other existing lock blocks.
     """
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ValueError(f"output directory is not a directory: {outdir}") from None
     lock = outdir / ".lock"
     for attempt in range(2):
         try:
@@ -102,10 +105,6 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
         if value is not None:
             setattr(config, f.name, value)
     return config
-
-
-def _outdir(config: RunConfig) -> Path:
-    return Path(config.output_dir)
 
 
 def _load_raw_corpus(config: RunConfig) -> list[corpus_mod.RawDoc]:
@@ -167,6 +166,8 @@ def _score_table(vocab: corpus_mod.Vocabulary, model: tsetlin.StoredModel):
 
 def cmd_ingest(config: RunConfig) -> None:
     raw = _load_raw_corpus(config)
+    if config.stoplist_path is not None:
+        _require(Path(config.stoplist_path), "stoplist")
     stoplist = corpus_mod.load_stopwords(config.stoplist_path)
     normalized = [
         (doc_id, label, corpus_mod.normalize(corpus_mod.tokenize(text), stoplist, stemming=config.stemming))
@@ -177,16 +178,18 @@ def cmd_ingest(config: RunConfig) -> None:
         min_df=config.min_df,
         max_features=config.max_features,
     )
-    outdir = _outdir(config)
+    # Every output is built before the first is written, so a refusal leaves the last run's files.
+    booldocs = [corpus_mod.BoolDoc(doc_id, label, corpus_mod.booleanize(tokens, vocab))
+                for doc_id, label, tokens in normalized]
+    outdir = Path(config.output_dir)
     corpus_mod.write_vocabulary(vocab, outdir / "vocabulary.txt")
     corpus_mod.write_tokens(normalized, outdir / "tokens.csv")
-    booldocs = [corpus_mod.BoolDoc.from_tokens(doc_id, label, tokens, vocab) for doc_id, label, tokens in normalized]
     corpus_mod.write_booldocs(booldocs, outdir / "booldocs.csv")
     print(f"ingest: {len(booldocs)} documents, vocabulary {len(vocab)}")
 
 
 def cmd_train(config: RunConfig) -> None:
-    outdir = _outdir(config)
+    outdir = Path(config.output_dir)
     vocab = _read_vocab(outdir)
     docs = corpus_mod.read_booldocs(_require(outdir / "booldocs.csv", "boolean documents"), len(vocab))
     model = tsetlin.TMModel.create(config.tm_params(), len(vocab), vocab_hash=vocab.sha256())
@@ -198,7 +201,7 @@ def cmd_train(config: RunConfig) -> None:
 
 
 def cmd_describe(config: RunConfig) -> None:
-    outdir = _outdir(config)
+    outdir = Path(config.output_dir)
     vocab = _read_vocab(outdir)
     with _read_model(outdir, vocab) as model:
         bags, table = _score_table(vocab, model)
@@ -211,7 +214,7 @@ def cmd_context(config: RunConfig, word_list: str, target_class: Label) -> None:
     words = [w for w in word_list.split(",") if w]
     if not words:
         raise ValueError("--words names no word")
-    outdir = _outdir(config)
+    outdir = Path(config.output_dir)
     vocab = _read_vocab(outdir)
     with _read_model(outdir, vocab) as model:
         _, table = _score_table(vocab, model)
@@ -226,7 +229,7 @@ def cmd_context(config: RunConfig, word_list: str, target_class: Label) -> None:
 
 
 def cmd_tfidf(config: RunConfig) -> None:
-    outdir = _outdir(config)
+    outdir = Path(config.output_dir)
     token_docs = corpus_mod.read_tokens(_require(outdir / "tokens.csv", "token table"))
     stats = corpus_mod.corpus_stats([(label, tokens) for _, label, tokens in token_docs])
     table = baseline.tfidf_scores(stats)
@@ -235,7 +238,7 @@ def cmd_tfidf(config: RunConfig) -> None:
 
 
 def cmd_eval(config: RunConfig) -> None:
-    outdir = _outdir(config)
+    outdir = Path(config.output_dir)
     vocab = _read_vocab(outdir)
     with _read_model(outdir, vocab) as model:
         token_docs = corpus_mod.read_tokens(_require(outdir / "tokens.csv", "token table"))
@@ -264,13 +267,12 @@ def cmd_eval(config: RunConfig) -> None:
     write_csv(outdir / "doc_scores.csv", ("doc_id", "label", "aggregate"), doc_rows)
 
     evaluation.write_report_json(outdir / "report.json", config.seed, stats_rows, cfd_curves, tm_result, tfidf_result)
-    evaluation.write_curve_csv(tm_result.curves.roc_points, ("fpr", "tpr"), outdir / "roc_tm.csv")
-    evaluation.write_curve_csv(tm_result.curves.pr_points, ("recall", "precision"), outdir / "pr_tm.csv")
-    evaluation.write_curve_csv(tfidf_result.curves.roc_points, ("fpr", "tpr"), outdir / "roc_tfidf.csv")
-    evaluation.write_curve_csv(tfidf_result.curves.pr_points, ("recall", "precision"), outdir / "pr_tfidf.csv")
+    for method, result in (("tm", tm_result), ("tfidf", tfidf_result)):
+        write_csv(outdir / f"roc_{method}.csv", ("fpr", "tpr"), result.curves.roc_points)
+        write_csv(outdir / f"pr_{method}.csv", ("recall", "precision"), result.curves.pr_points)
     for name, points in cfd_curves.items():
-        evaluation.write_curve_csv(points, ("score", "cumulative_fraction"), outdir / f"cfd_{name}.csv")
-    print(f"eval: AUC tm={tm_result.auc:.4f} tfidf={tfidf_result.auc:.4f}")
+        write_csv(outdir / f"cfd_{name}.csv", ("score", "cumulative_fraction"), points)
+    print(f"eval: AUC tm={tm_result.curves.auc:.4f} tfidf={tfidf_result.curves.auc:.4f}")
 
 
 # -- argument parsing ---------------------------------------------------------
@@ -339,7 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = _build_config(args)
-        outdir = _outdir(config)
+        outdir = Path(config.output_dir)
         run, _, settings = STAGES[args.command]
         with _output_lock(outdir):
             if args.command == "context":

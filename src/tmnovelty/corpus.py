@@ -137,10 +137,6 @@ class BoolDoc:
     label: Label
     bits: np.ndarray  # bool, length == vocabulary size
 
-    @classmethod
-    def from_tokens(cls, doc_id: str, label: Label, tokens: Sequence[str], vocab: Vocabulary) -> "BoolDoc":
-        return cls(doc_id=doc_id, label=label, bits=booleanize(tokens, vocab))
-
 
 def build_vocabulary(
     docs: Sequence[Sequence[str]],
@@ -330,11 +326,12 @@ def read_tokens(path: str | Path) -> list[tuple[str, Label, list[str]]]:
 def _csv_rows(path: str | Path, columns: Sequence[str]) -> Iterator[dict[str, str]]:
     """Rows of a CSV file whose header names every given column; each row must fill them.
 
-    Fields may be of any length: a long document's token list is one field.
+    Fields may be of any length: a long document's token list is one field.  A
+    leading byte-order mark, as spreadsheet exports write it, is dropped.
     """
     csv.field_size_limit(sys.maxsize)
     name = Path(path).name
-    with Path(path).open(newline="", encoding="utf-8") as fh:
+    with Path(path).open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.DictReader(fh)
         try:
             missing = [c for c in columns if c not in (reader.fieldnames or ())]

@@ -2,11 +2,13 @@
 logistic regression on document score features, and ROC / precision-recall.
 
 Documents are summarized by four features of their per-word scores: mean
-log score, max score and fraction of tokens scoring above 1, all three from
-``novelty.reduce_scores`` (the same reduction as the ``aggregate`` column of
-``doc_scores.csv``), plus scored-token coverage.  A seeded stratified split plus
-full-batch logistic regression turns those into a known/novel classifier
-whose ranking quality is reported as ROC AUC and average precision.
+log score, max score and fraction of tokens scoring above 1, the tuple
+``novelty.reduce_scores`` returns (the same reduction as the ``aggregate``
+column of ``doc_scores.csv``), plus scored-token coverage.  A seeded
+stratified split plus full-batch logistic regression, with fixed step
+count, step size and L2 weight, turns those into a known/novel classifier
+whose ranking quality is reported as ROC AUC and average precision, both
+read from the ``RankingCurves`` of the held-out side.
 """
 
 from __future__ import annotations
@@ -21,9 +23,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ._files import atomic_write_text, write_csv
+from ._files import atomic_write_text
 from .corpus import Label
-from .novelty import Aggregator, WordBags, reduce_scores
+from .novelty import WordBags, reduce_scores
 
 
 class WordCategory(str, Enum):
@@ -111,11 +113,7 @@ def doc_feature_matrix(
         hits = [word_scores[t] for t in tokens if t in word_scores]
         if not hits:
             continue
-        reduced = reduce_scores(hits)
-        out[i, 0] = reduced[Aggregator.MEAN_LOG]
-        out[i, 1] = reduced[Aggregator.MAX]
-        out[i, 2] = reduced[Aggregator.FRACTION_ABOVE_ONE]
-        out[i, 3] = len(hits) / len(tokens)
+        out[i] = (*reduce_scores(hits), len(hits) / len(tokens))
     return out
 
 
@@ -161,18 +159,13 @@ class LogisticModel:
         return sigmoid(self._transform(features) @ self.weights + self.bias)
 
 
-def fit_logistic(
-    features: np.ndarray,
-    targets: np.ndarray,
-    epochs: int = 500,
-    learning_rate: float = 0.5,
-    l2: float = 1e-4,
-) -> LogisticModel:
-    """Deterministic full-batch gradient descent on standardized features.
+def fit_logistic(features: np.ndarray, targets: np.ndarray) -> LogisticModel:
+    """Deterministic full-batch gradient descent on standardized features: 500 steps of 0.5, L2 1e-4.
 
     Zero-variance feature columns are dropped with a warning; both target
     labels must be present.
     """
+    epochs, learning_rate, l2 = 500, 0.5, 1e-4
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
     if set(np.unique(targets)) - {0.0, 1.0}:
@@ -279,8 +272,6 @@ def train_test_split(labels: Sequence[Label], seed: int = 0) -> tuple[np.ndarray
 class DiscriminationResult:
     """Held-out ranking quality of a logistic model over document score features."""
 
-    auc: float
-    average_precision: float
     test_accuracy: float
     curves: RankingCurves
 
@@ -301,12 +292,7 @@ def score_discrimination(
     probs = model.predict_proba(features[test_idx])
     curves = roc_pr(probs, targets[test_idx].astype(bool))
     accuracy = float(np.mean((probs >= 0.5) == targets[test_idx].astype(bool)))
-    return DiscriminationResult(
-        auc=curves.auc,
-        average_precision=curves.average_precision,
-        test_accuracy=accuracy,
-        curves=curves,
-    )
+    return DiscriminationResult(test_accuracy=accuracy, curves=curves)
 
 
 def write_report_json(
@@ -325,12 +311,8 @@ def write_report_json(
     }
     for name, result in (("tm", tm_result), ("tfidf", tfidf_result)):
         report[name] = {
-            "auc": result.auc,
-            "average_precision": result.average_precision,
+            "auc": result.curves.auc,
+            "average_precision": result.curves.average_precision,
             "test_accuracy": result.test_accuracy,
         }
     atomic_write_text(path, json.dumps(report, sort_keys=True, indent=2) + "\n")
-
-
-def write_curve_csv(points: Sequence[tuple[float, float]], header: tuple[str, str], path: str | Path) -> None:
-    write_csv(path, header, points)

@@ -8,11 +8,12 @@ no clause objects.  A word's novelty score is the ratio of its smoothed
 relative frequency in the novel bag to that in the known bag, so scores
 above 1 lean novel and below 1 lean known.  Each bag is summed once, and the
 whole table is scored in one pass over the words.  A document is reduced
-over its scored token occurrences by ``reduce_scores``, the one reduction
-behind both the mean-log ``aggregate`` column and the logistic document
-features.  Pair scores divide clause co-occurrence probability by the
-product of the two words' bag frequencies, exposing words that the clauses
-treat as one context.  The pair counts, too, come from the include actions
+over its scored token occurrences by ``reduce_scores``, the one reduction,
+to the tuple (mean log, max, fraction above 1): the mean log is the
+``aggregate`` column, and all three are logistic document features.  Pair
+scores divide clause co-occurrence probability by the product of the two
+words' bag frequencies, exposing words that the clauses treat as one
+context.  The pair counts, too, come from the include actions
 with no clause objects: one pass over the target bank's row blocks counts
 only the requested words.
 """
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from enum import Enum
 from functools import cached_property
 from itertools import combinations
 from pathlib import Path
@@ -116,30 +116,18 @@ def novelty_scores(bags: WordBags) -> ScoreTable:
     return ScoreTable(scores=scores, rel_freq_known=rel_known, rel_freq_novel=rel_novel)
 
 
-class Aggregator(str, Enum):
-    """Document-level reduction of per-word scores."""
-
-    MEAN_LOG = "mean_log"
-    MAX = "max"
-    FRACTION_ABOVE_ONE = "fraction_above_one"
-
-
 _LOG_FLOOR = 1e-12
 
 
-def reduce_scores(occurrence_scores: Sequence[float]) -> dict[Aggregator, float]:
-    """Every aggregate over a document's scored token occurrences (at least one).
+def reduce_scores(occurrence_scores: Sequence[float]) -> tuple[float, float, float]:
+    """(mean log, max, fraction above 1) over a document's scored token occurrences (at least one).
 
     Scores at or below zero (TF-IDF) are floored at 1e-12 inside the log, so
     the mean log stays finite; the logs are summed exactly (``math.fsum``).
     """
     n = len(occurrence_scores)
     sum_log = math.fsum(math.log(max(s, _LOG_FLOOR)) for s in occurrence_scores)
-    return {
-        Aggregator.MEAN_LOG: sum_log / n,
-        Aggregator.MAX: max(occurrence_scores),
-        Aggregator.FRACTION_ABOVE_ONE: sum(s > 1.0 for s in occurrence_scores) / n,
-    }
+    return sum_log / n, max(occurrence_scores), sum(s > 1.0 for s in occurrence_scores) / n
 
 
 def score_document(tokens: Sequence[str], table: ScoreTable) -> float | None:
@@ -152,7 +140,7 @@ def score_document(tokens: Sequence[str], table: ScoreTable) -> float | None:
     occurrence_scores = [table.scores[t] for t in tokens if t in table.scores]
     if not occurrence_scores:
         return None
-    return reduce_scores(occurrence_scores)[Aggregator.MEAN_LOG]
+    return reduce_scores(occurrence_scores)[0]
 
 
 @dataclass(frozen=True)

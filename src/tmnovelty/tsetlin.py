@@ -177,7 +177,6 @@ class ClauseBank:
         self._block_rows = max(1, _BLOCK_BYTES // max(1, self.state.itemsize * self.literal_count))
         self._feedback_rows = max(1, _FEEDBACK_BYTES // max(1, self.state.itemsize * self.literal_count))
         self._packed: np.ndarray | None = None  # (words, clauses) packed include bits
-        self._nonempty: np.ndarray | None = None  # (clauses,) any literal included
 
     def include_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         """The include mask a block of ``_block_rows`` rows at a time: (first row, block)."""
@@ -199,11 +198,7 @@ class ClauseBank:
         """Store new states for the given rows and repack just those rows."""
         self.state[rows] = block
         if self._packed is not None:
-            self._repack(rows, block > self.state_count)
-
-    def _repack(self, rows: np.ndarray | slice, include: np.ndarray) -> None:
-        self._packed[:, rows] = pack_bits(include).T
-        self._nonempty[rows] = include.any(axis=1)
+            self._packed[:, rows] = pack_bits(block > self.state_count).T
 
     # -- evaluation ----------------------------------------------------------
 
@@ -218,9 +213,8 @@ class ClauseBank:
         """
         if self._packed is None:
             self._packed = np.empty((-(-self.literal_count // 64), self.clause_count), dtype=np.uint64)
-            self._nonempty = np.empty(self.clause_count, dtype=bool)
             for start, include in self.include_blocks():
-                self._repack(slice(start, start + len(include)), include)
+                self._packed[:, start : start + len(include)] = pack_bits(include).T
         docs = np.atleast_2d(not_literals_packed)
         violated = np.zeros((len(docs), self.clause_count), dtype=bool)
         step = max(1, _BLOCK_BYTES // (8 * self.clause_count))
@@ -230,7 +224,7 @@ class ClauseBank:
                 out |= (include_bits & chunk[:, word, None]) != 0
         fired = ~violated
         if mode is EvalMode.INFERENCE:
-            fired &= self._nonempty
+            fired &= self._packed.any(axis=0)
         return fired.reshape(not_literals_packed.shape[:-1] + (self.clause_count,))
 
     def vote_sum(self, fired: np.ndarray) -> np.ndarray:

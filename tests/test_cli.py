@@ -773,6 +773,68 @@ class TestIngestRefusals:
         assert list(out.iterdir()) == []
 
 
+class TestIngestWritesAllOrNothing:
+    def test_refused_ingest_leaves_the_last_run_s_files(self, tmp_path, corpus_dirs, capsys):
+        out = tmp_path / "out"
+        assert main(["ingest", *corpus_flags(corpus_dirs), "--out", str(out)]) == EXIT_OK
+        before = snapshot(out)
+        corpus = tmp_path / "stopwords_only.csv"
+        corpus.write_text("doc_id,label,text\na,known,the and of\nb,novel,a an the\n", "utf-8")
+        capsys.readouterr()
+        assert main(["ingest", "--csv-path", str(corpus), "--out", str(out)]) == EXIT_VALIDATION
+        assert "vocabulary is empty" in one_line_error(capsys)
+        assert snapshot(out) == before
+
+
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark, as spreadsheet exports write it, is not part of the first field."""
+
+    def test_stoplist(self, tmp_path, corpus_dirs):
+        stoplist = tmp_path / "stop.txt"
+        stoplist.write_text("\ufeffcricket\nthe\n", "utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", *corpus_flags(corpus_dirs), "--stoplist", str(stoplist), "--out", str(out)]) == EXIT_OK
+        words = read_vocabulary(out / "vocabulary.txt").words
+        assert "cricket" not in words and "rugby" in words
+
+    def test_csv_corpus(self, tmp_path):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("\ufeffdoc_id,label,text\na,known,cricket six\nb,novel,rugby old\n", "utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--csv-path", str(corpus), "--out", str(out)]) == EXIT_OK
+        assert [doc_id for doc_id, _, _ in read_tokens(out / "tokens.csv")] == ["a", "b"]
+
+    def test_config_file(self, tmp_path, corpus_dirs):
+        config = tmp_path / "run.cfg"
+        config.write_text("\ufeffmin_df = 2\n", "utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", *corpus_flags(corpus_dirs), "--config", str(config), "--out", str(out)]) == EXIT_OK
+        assert "min_df = 2\n" in (out / "ingest_config.txt").read_text("utf-8")
+
+
+class TestBadUserPath:
+    @pytest.mark.parametrize("kind", ["absent", "directory", "empty"])
+    def test_stoplist_not_found(self, tmp_path, corpus_dirs, capsys, kind):
+        stoplist = tmp_path / "stop"
+        if kind == "directory":
+            stoplist.mkdir()
+        given = "" if kind == "empty" else str(stoplist)
+        out = tmp_path / "out"
+        code = main(["ingest", *corpus_flags(corpus_dirs), "--stoplist", given, "--out", str(out)])
+        assert code == EXIT_MISSING
+        assert one_line_error(capsys) == f"error: stoplist not found: {Path(given)}\n"
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("stage", ["ingest", "train", "describe", "context", "tfidf", "eval"])
+    def test_out_naming_a_file(self, tmp_path, corpus_dirs, capsys, stage):
+        out = tmp_path / "out"
+        out.write_text("not a directory\n", "utf-8")
+        flags = {"ingest": corpus_flags(corpus_dirs), "context": ["--words", "rugby"]}.get(stage, [])
+        assert main([stage, *flags, "--out", str(out)]) == EXIT_VALIDATION
+        assert str(out) in one_line_error(capsys)
+        assert out.read_text("utf-8") == "not a directory\n"
+
+
 def test_readme_python_block_runs(capsys):
     """The README's library quick start runs against the current API."""
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text("utf-8")

@@ -246,8 +246,8 @@ class TestLoadersAndExports:
     def test_booldocs_round_trip(self, tmp_path):
         vocab = build_vocabulary([["a", "b", "c"]])
         docs = [
-            BoolDoc.from_tokens("d1", Label.KNOWN, ["a", "c"], vocab),
-            BoolDoc.from_tokens("d2", Label.NOVEL, ["b"], vocab),
+            BoolDoc("d1", Label.KNOWN, booleanize(["a", "c"], vocab)),
+            BoolDoc("d2", Label.NOVEL, booleanize(["b"], vocab)),
         ]
         path = tmp_path / "booldocs.csv"
         write_booldocs(docs, path)

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from tmnovelty.corpus import Label, Vocabulary
 from tmnovelty.evaluation import doc_feature_matrix
 from tmnovelty.novelty import (
-    Aggregator,
     WordBags,
     build_word_bags,
     contextual_score,
@@ -263,9 +262,9 @@ class TestScoreDocument:
         assert features[3] == 4 / 5
 
     def test_log_floor_keeps_zero_scores_finite(self):
-        reduced = reduce_scores([0.0, math.e])
-        assert reduced[Aggregator.MEAN_LOG] == pytest.approx((math.log(1e-12) + 1.0) / 2)
-        assert reduced[Aggregator.FRACTION_ABOVE_ONE] == 0.5
+        mean_log, _, fraction_above_one = reduce_scores([0.0, math.e])
+        assert mean_log == pytest.approx((math.log(1e-12) + 1.0) / 2)
+        assert fraction_above_one == 0.5
 
     def test_occurrence_multiplicity_counts(self, table):
         once = score_document(["rugby", "cricket"], table)

@@ -1,8 +1,11 @@
 """The benchmark's trace points: every name it wraps must still exist and run."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -65,3 +68,24 @@ def test_traced_context_stage_runs(tmp_path):
     result = _run_traced(TRACED_CONTEXT, tmp_path)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "context_novel.csv").is_file()
+
+
+def _load_faults() -> dict:
+    spec = importlib.util.spec_from_file_location("faults", ROOT / "perfbench" / "faults.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.FAULTS
+
+
+FAULTS = _load_faults()
+# Faults whose anchor text left the source in a rewrite; the benchmark still lists them.
+GONE = pytest.mark.xfail(reason="anchor gone; ROADMAP item 2", strict=False)
+
+
+@pytest.mark.parametrize(
+    "name", [pytest.param(n, marks=GONE) if n in ("routing", "type-ii-step", "save-order") else n for n in FAULTS]
+)
+def test_fault_anchor_occurs_once(name):
+    # The benchmark plants each fault by replacing this text, so it must stay, once, in its file.
+    file, text, *_ = FAULTS[name]
+    assert (ROOT / "src" / "tmnovelty" / file).read_text("utf-8").count(text) == 1

@@ -160,7 +160,6 @@ class TestClauseEval:
             bank = _random_feedback(ClauseBank(12, features, 3), rng)
             include = bank.state > bank.state_count
             assert np.array_equal(bank._packed, pack_bits(include).T)
-            assert np.array_equal(bank._nonempty, include.any(axis=1))
         # Budgets of three rows over 14 clauses: the view is built, and the
         # feedback gathered, in blocks with edges at rows 3 and 6 in the
         # positive half and 9 and 12 in the negative half.  The states must
@@ -175,7 +174,6 @@ class TestClauseEval:
                 bank = _random_feedback(bank, np.random.default_rng(features))
                 include = include_mask(bank)
                 assert np.array_equal(bank._packed, pack_bits(include).T)
-                assert np.array_equal(bank._nonempty, include.any(axis=1))
                 states.append(bank.state)
             assert np.array_equal(*states)
 
@@ -798,10 +796,9 @@ class TestFitMemory:
         bank, lits = self._bank()
         assert bank._block_rows * 4 < bank.clause_count
         peak = traced_peak(lambda: bank.fired(pack_bits(~lits), EvalMode.LEARNING))
-        assert peak - bank._packed.nbytes - bank._nonempty.nbytes < bank.state.nbytes / 4
+        assert peak - bank._packed.nbytes < bank.state.nbytes / 4
         include = include_mask(bank)
         assert np.array_equal(bank._packed, pack_bits(include).T)
-        assert np.array_equal(bank._nonempty, include.any(axis=1))
 
     def test_type_i_gathers_feedback_sized_blocks(self):
         # The whole bank fits one 8 MiB read block, so only the feedback
