@@ -155,9 +155,9 @@ def _read_model(outdir: Path, vocab: corpus_mod.Vocabulary) -> Iterator[tsetlin.
         yield model
 
 
-def _score_table(vocab: corpus_mod.Vocabulary, model: tsetlin.StoredModel):
-    """Bags and scores; this reads every state block, so a bad state stops a stage before it writes."""
-    bags = novelty.build_word_bags(model, vocab)
+def _score_table(vocab: corpus_mod.Vocabulary, model: tsetlin.StoredModel, counted: dict | None = None):
+    """Bags and scores, reading the banks not in ``counted``; a bad state stops a stage before it writes."""
+    bags = novelty.build_word_bags(model, vocab, counted)
     return bags, novelty.novelty_scores(bags)
 
 
@@ -217,15 +217,21 @@ def cmd_context(config: RunConfig, word_list: str, target_class: Label) -> None:
     outdir = Path(config.output_dir)
     vocab = _read_vocab(outdir)
     with _read_model(outdir, vocab) as model:
-        _, table = _score_table(vocab, model)
-        missing = [w for w in words if w not in table]
-        if missing:
-            raise ValueError(f"words not scored by the model: {', '.join(missing)}")
-        # A second pass over the same open file, of the target bank only.
+        _refuse_unscored(words, vocab)
+        # One pass over the target bank counts the pairs and its include
+        # actions; the scores then read the other bank only.
         co = novelty.word_pair_counts(model, target_class, words, vocab)
+        _, table = _score_table(vocab, model, {target_class: co.include_counts})
+        _refuse_unscored(words, table)
     path = outdir / f"context_{target_class.value}.csv"
     novelty.write_cooccurrence_matrix(co, table, words, path)
     print(f"context: {len(words)}x{len(words)} matrix for class {target_class.value}")
+
+
+def _refuse_unscored(words: list[str], scored: corpus_mod.Vocabulary | novelty.ScoreTable) -> None:
+    missing = [w for w in words if w not in scored]
+    if missing:
+        raise ValueError(f"words not scored by the model: {', '.join(missing)}")
 
 
 def cmd_tfidf(config: RunConfig) -> None:

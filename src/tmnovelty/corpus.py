@@ -10,6 +10,7 @@ parameters produce bit-identical vocabularies and bit vectors.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import re
 import sys
@@ -61,12 +62,15 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(folded.lower())
 
 
+@functools.cache
 def stem(token: str) -> str:
     """Strip one inflection suffix (-ing/-ed/-es/-s), keeping stems >= 3 chars.
 
     After -ing/-ed removal a trailing doubled consonant is undoubled
     ("hitting" -> "hit", "running" -> "run") except for l/s/z ("falling" ->
-    "fall", "missed" -> "miss").
+    "fall", "missed" -> "miss").  Text repeats its words many times over,
+    so each distinct token is stemmed once per process and then looked up;
+    the cache holds one entry per distinct token.
     """
     for suffix in _SUFFIXES:
         root = token[: -len(suffix)]
@@ -176,10 +180,7 @@ def booleanize(tokens: Sequence[str], vocab: Vocabulary) -> np.ndarray:
         raise ValueError("vocabulary is empty")
     bits = np.zeros(len(vocab), dtype=bool)
     index = vocab.index_of
-    for token in tokens:
-        pos = index.get(token)
-        if pos is not None:
-            bits[pos] = True
+    bits[[index[t] for t in index.keys() & tokens]] = True
     return bits
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from ._files import atomic_write_text
 from .corpus import Label
-from .novelty import WordBags, reduce_scores
+from .novelty import WordBags, reduce_scores, score_logs
 
 
 class WordCategory(str, Enum):
@@ -109,11 +109,12 @@ def doc_feature_matrix(
     all-zero features.
     """
     out = np.zeros((len(token_docs), 4), dtype=np.float64)
+    logs = score_logs(word_scores.values())
     for i, tokens in enumerate(token_docs):
         hits = [word_scores[t] for t in tokens if t in word_scores]
         if not hits:
             continue
-        out[i] = (*reduce_scores(hits), len(hits) / len(tokens))
+        out[i] = (*reduce_scores(hits, logs), len(hits) / len(tokens))
     return out
 
 

@@ -10,23 +10,25 @@ above 1 lean novel and below 1 lean known.  Each bag is summed once, and the
 whole table is scored in one pass over the words.  A document is reduced
 over its scored token occurrences by ``reduce_scores``, the one reduction,
 to the tuple (mean log, max, fraction above 1): the mean log is the
-``aggregate`` column, and all three are logistic document features.  Pair
-scores divide clause co-occurrence probability by the product of the two
-words' bag frequencies, exposing words that the clauses treat as one
-context.  The pair counts, too, come from the include actions
-with no clause objects: one pass over the target bank's row blocks counts
-only the requested words.
+``aggregate`` column, and all three are logistic document features.  The
+logs are taken once per distinct score (``score_logs``), not once per
+occurrence.  Pair scores divide clause co-occurrence probability by the
+product of the two words' bag frequencies, exposing words that the clauses
+treat as one context.  The pair counts, too, come from the include actions
+with no clause objects, counting only the requested words, in the same pass
+over the target bank that yields its include counts for the bags, so
+``context`` reads each bank once.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -54,20 +56,27 @@ class WordBags:
         return sorted(set(self.known) | set(self.novel))
 
 
-def build_word_bags(model: TMModel | StoredModel, vocab: Vocabulary) -> WordBags:
+def build_word_bags(
+    model: TMModel | StoredModel,
+    vocab: Vocabulary,
+    counted: Mapping[Label, np.ndarray] | None = None,
+) -> WordBags:
     """Route every clause's included words into the known/novel bags with multiplicity.
 
     Plain words of a clause describe the group the clause votes for; negated
     words describe the other group.  An against-vote (negative polarity)
     flips the destination.  Each clause membership counts once, so the bags
     are sums of the banks' per-literal include counts (``include_counts``).
+    ``counted`` holds the counts of banks the caller has read already
+    (``WordPairCounts.include_counts``); every other bank is read here.
     """
     if len(vocab) != model.feature_count:
         raise ValueError("vocabulary size != model feature count")
+    counted = counted or {}
     o = model.feature_count
     bags = np.zeros((2, o), dtype=np.int64)  # known, novel
     for k, label in enumerate((Label.KNOWN, Label.NOVEL)):
-        for_votes, against_votes = model.banks[label].include_counts()
+        for_votes, against_votes = counted[label] if label in counted else model.banks[label].include_counts()
         bags[k] += for_votes[:o] + against_votes[o:]
         bags[1 - k] += for_votes[o:] + against_votes[:o]
     known, novel = ({w: c for w, c in zip(vocab.words, bag.tolist()) if c} for bag in bags)
@@ -94,6 +103,11 @@ class ScoreTable:
     def __contains__(self, word: str) -> bool:
         return word in self.scores
 
+    @cached_property
+    def logs(self) -> dict[float, float]:
+        """``score_logs`` of the scores, built on first use."""
+        return score_logs(self.scores.values())
+
 
 def novelty_scores(bags: WordBags) -> ScoreTable:
     """Score every word in either bag as p_novel / p_known, in one pass.
@@ -119,15 +133,25 @@ def novelty_scores(bags: WordBags) -> ScoreTable:
 _LOG_FLOOR = 1e-12
 
 
-def reduce_scores(occurrence_scores: Sequence[float]) -> tuple[float, float, float]:
+def score_logs(scores: Iterable[float]) -> dict[float, float]:
+    """``math.log(max(s, 1e-12))`` per distinct score: the logs ``reduce_scores`` sums.
+
+    Scores at or below zero (TF-IDF) are floored at 1e-12, so every log is
+    finite.  Built once per score mapping, it replaces a log per token
+    occurrence with a lookup.
+    """
+    return {s: math.log(max(s, _LOG_FLOOR)) for s in set(scores)}
+
+
+def reduce_scores(occurrence_scores: Sequence[float], logs: Mapping[float, float]) -> tuple[float, float, float]:
     """(mean log, max, fraction above 1) over a document's scored token occurrences (at least one).
 
-    Scores at or below zero (TF-IDF) are floored at 1e-12 inside the log, so
-    the mean log stays finite; the logs are summed exactly (``math.fsum``).
+    ``logs`` is ``score_logs`` of a mapping that holds every occurrence's
+    score; the occurrences' logs are summed exactly (``math.fsum``).
     """
     n = len(occurrence_scores)
-    sum_log = math.fsum(math.log(max(s, _LOG_FLOOR)) for s in occurrence_scores)
-    return sum_log / n, max(occurrence_scores), sum(s > 1.0 for s in occurrence_scores) / n
+    sum_log = math.fsum(map(logs.__getitem__, occurrence_scores))
+    return sum_log / n, max(occurrence_scores), len([s for s in occurrence_scores if s > 1.0]) / n
 
 
 def score_document(tokens: Sequence[str], table: ScoreTable) -> float | None:
@@ -140,7 +164,7 @@ def score_document(tokens: Sequence[str], table: ScoreTable) -> float | None:
     occurrence_scores = [table.scores[t] for t in tokens if t in table.scores]
     if not occurrence_scores:
         return None
-    return reduce_scores(occurrence_scores)[0]
+    return reduce_scores(occurrence_scores, table.logs)[0]
 
 
 @dataclass(frozen=True)
@@ -188,8 +212,14 @@ def cooccurrence(
     )
 
 
+@dataclass(frozen=True)
 class WordPairCounts(ClauseCooccurrence):
-    """Counts of the requested words only: any other word raises KeyError rather than reading as 0."""
+    """Counts of the requested words only: any other word raises KeyError rather than reading as 0.
+
+    ``include_counts`` is the bank's ``include_counts``, read in the same pass.
+    """
+
+    include_counts: np.ndarray = field(repr=False, compare=False)
 
     def pair_count(self, w1: str, w2: str) -> int:
         for word in (w1, w2):
@@ -204,27 +234,31 @@ def word_pair_counts(
     words: Sequence[str],
     vocab: Vocabulary,
 ) -> WordPairCounts:
-    """``cooccurrence`` of ``label``'s clauses, restricted to the given words, from one pass over the bank.
+    """``cooccurrence`` of ``label``'s clauses, restricted to the given words, and the bank's include counts.
 
-    Each row block's plain columns of the words form a clause x word
-    matrix M; M.T @ M, summed over the blocks, holds each word's clause
-    count on its diagonal and each pair's count off it.  ``clause_count``
-    is the bank's pool size.
+    One pass over the bank gives both.  Each row block's plain columns of
+    the words form a clause x word matrix M; M.T @ M, summed over the
+    blocks, holds each word's clause count on its diagonal and each pair's
+    count off it.  ``clause_count`` is the bank's pool size.
     """
     if len(vocab) != model.feature_count:
         raise ValueError("vocabulary size != model feature count")
     words = sorted(set(words))
     columns = [vocab.index_of[w] for w in words]
     counts = np.zeros((len(words), len(words)), dtype=np.int64)
-    for _, include in model.banks[label].include_blocks():
+
+    def count_pairs(include: np.ndarray) -> None:
         m = include[:, columns].astype(np.int64)
-        counts += m.T @ m
-    counts = counts.tolist()
+        counts[...] += m.T @ m
+
+    include_counts = model.banks[label].include_counts(count_pairs)
+    pairs = counts.tolist()
     return WordPairCounts(
         label=label,
-        pair_counts={(w1, w2): counts[i][j] for (i, w1), (j, w2) in combinations(enumerate(words), 2)},
-        word_counts={w: counts[i][i] for i, w in enumerate(words)},
+        pair_counts={(w1, w2): pairs[i][j] for (i, w1), (j, w2) in combinations(enumerate(words), 2)},
+        word_counts={w: pairs[i][i] for i, w in enumerate(words)},
         clause_count=model.params.clause_count,
+        include_counts=include_counts,
     )
 
 

@@ -382,6 +382,31 @@ def test_bad_state_in_the_last_block_of_the_second_bank_is_rejected(tmp_path, ca
     assert not [name for name in (*READ_OUTPUTS, "context_known.csv") if (out / name).exists()]
 
 
+@pytest.mark.parametrize("stage", LAST_BLOCK_STAGES.values(), ids=LAST_BLOCK_STAGES.keys())
+def test_read_stage_reads_every_block_once(tmp_path, monkeypatch, stage):
+    monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", 2 * 2 * 2 * len(CASE_STUDY_WORDS))  # two of four rows per block
+    out = tmp_path / "out"
+    _case_study_run(out)
+    raw = (out / "model.tm").read_bytes()
+    body = raw.index(b"\n") + 1
+    bank_bytes, block_bytes = (len(raw) - body) // 2, tsetlin._BLOCK_BYTES
+    reads = []
+    read_states = tsetlin._read_states
+
+    def counted(fh, block, label, state_count, path):
+        reads.append((fh.tell(), label))
+        read_states(fh, block, label, state_count, path)
+
+    monkeypatch.setattr(tsetlin, "_read_states", counted)
+    assert main([*stage, "--out", str(out)]) == EXIT_OK
+    assert sorted(reads) == [
+        (body + k * bank_bytes + j * block_bytes, label)
+        for k, label in enumerate((Label.KNOWN, Label.NOVEL))
+        for j in range(bank_bytes // block_bytes)
+    ]
+    assert bank_bytes // block_bytes == 2
+
+
 def test_context_reads_the_file_it_opened_when_the_path_is_replaced(tmp_path, monkeypatch):
     # Every novel clause includes every plain literal in the replacement, so
     # its pair counts differ from the case study's.

@@ -93,6 +93,18 @@ class TestNormalize:
         assert known == KNOWN_WORDS
         assert novel == NOVEL_WORDS
 
+    def test_memoized_stemming_matches_the_plain_stemmer(self):
+        # Each root shape the rules tell apart (doubled consonant, kept l/s/z,
+        # too short to strip) under each suffix, every token twice.
+        roots = ("hitt", "runn", "fall", "miss", "buzz", "dogg", "matc", "see", "abcd", "abc", "ab", "us")
+        tokens = ["hitting", "running", "falling", "missed"]
+        tokens += [root + suffix for root in roots for suffix in ("", "ing", "ed", "es", "s")]
+        tokens += tokens[::-1]
+        stoplist = {"abc", "runs"}
+        assert normalize(tokens, stoplist) == [stem.__wrapped__(t) for t in tokens if t not in stoplist]
+        assert [stem(t) for t in tokens[:4]] == ["hit", "run", "fall", "miss"]
+        assert normalize(tokens, stoplist, stemming=False) == [t for t in tokens if t not in stoplist]
+
     def test_bundled_stoplist_loads(self):
         stoplist = load_stopwords()
         assert "the" in stoplist and "cricket" not in stoplist
@@ -168,12 +180,18 @@ class TestBooleanize:
         recovered = {vocab.words[i] for i in np.flatnonzero(bits)}
         assert recovered == {t for t in doc if t in vocab}
 
-    @given(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "oov"]), max_size=12))
+    @given(st.lists(st.sampled_from(["a", "b", "c", "d", "e", "oov", "zz"]), max_size=40))
     @settings(max_examples=50, deadline=None)
     def test_round_trip_property_random(self, doc):
         vocab = Vocabulary(("a", "b", "c", "d", "e"))
         bits = booleanize(doc, vocab)
         assert {vocab.words[i] for i in np.flatnonzero(bits)} == {t for t in doc if t in vocab}
+        # The per-token reference: one bit write per in-vocabulary occurrence.
+        expected = np.zeros(len(vocab), dtype=bool)
+        for token in doc:
+            if token in vocab:
+                expected[vocab.index_of[token]] = True
+        assert bits.dtype == expected.dtype and bits.tolist() == expected.tolist()
 
 
 class TestCorpusStats:

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from tmnovelty.corpus import Label, Vocabulary
 from tmnovelty.evaluation import doc_feature_matrix
 from tmnovelty.novelty import (
+    ScoreTable,
     WordBags,
     build_word_bags,
     contextual_score,
@@ -20,6 +21,7 @@ from tmnovelty.novelty import (
     novelty_scores,
     reduce_scores,
     score_document,
+    score_logs,
     word_pair_counts,
     write_score_table,
 )
@@ -262,9 +264,35 @@ class TestScoreDocument:
         assert features[3] == 4 / 5
 
     def test_log_floor_keeps_zero_scores_finite(self):
-        mean_log, _, fraction_above_one = reduce_scores([0.0, math.e])
+        mean_log, _, fraction_above_one = reduce_scores([0.0, math.e], score_logs([0.0, math.e]))
         assert mean_log == pytest.approx((math.log(1e-12) + 1.0) / 2)
         assert fraction_above_one == 0.5
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_reductions_equal_the_per_occurrence_formula(self, seed):
+        # Random tables with scores of 0.0 and below (as TF-IDF gives), exact
+        # 1.0, scores under the log floor, and equal scores on different words;
+        # documents with repeats, words missing from the table, and none at all.
+        rng = np.random.default_rng(seed)
+        words = [f"w{i}" for i in range(40)]
+        special = [0.0, -0.0, -1.5, 1.0, 1e-13, 2.5, 2.5]
+        values = [special[i] if i < len(special) else float(rng.lognormal(0.0, 2.0)) for i in range(len(words))]
+        scores = dict(zip(words, rng.permutation(np.array(values, dtype=object)).tolist()))
+        pool = words + ["zzz", "yyy"]
+        docs = [[pool[i] for i in rng.integers(0, len(pool), int(rng.integers(0, 60)))] for _ in range(40)]
+        docs += [[], ["zzz"], ["w0", "w0", "w0"]]
+        table = ScoreTable(scores=scores, rel_freq_known={}, rel_freq_novel={})
+        features = doc_feature_matrix(docs, scores).tolist()
+        for tokens, row in zip(docs, features):
+            hits = [scores[t] for t in tokens if t in scores]
+            if not hits:
+                assert score_document(tokens, table) is None
+                assert row == [0.0, 0.0, 0.0, 0.0]
+                continue
+            n = len(hits)
+            mean_log = math.fsum(math.log(max(s, 1e-12)) for s in hits) / n
+            assert score_document(tokens, table) == mean_log
+            assert row == [mean_log, max(hits), sum(s > 1.0 for s in hits) / n, n / len(tokens)]
 
     def test_occurrence_multiplicity_counts(self, table):
         once = score_document(["rugby", "cricket"], table)

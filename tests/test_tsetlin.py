@@ -638,6 +638,30 @@ class TestModelPersistence:
 class TestStoredModel:
     """The read stages' stored model streams what ``load`` and the machine in memory hold."""
 
+    @pytest.mark.parametrize("clause_count", [70_000, 140_000])
+    def test_include_counts_of_a_block_of_many_rows(self, tmp_path, clause_count):
+        # One feature makes a row block of 2**21 rows, so each bank is one block
+        # of more than 2**16 rows; at 140 000 clauses each polarity half alone
+        # has 70 000.  A literal included by every clause counts them all.
+        model = TMModel.create(small_params(clause_count=clause_count), 1)
+        rng = np.random.default_rng(clause_count)
+        for k, bank in enumerate(model.banks.values()):
+            assert bank._block_rows >= clause_count
+            include = rng.random(bank.state.shape) < 0.5
+            include[:, k] = True
+            shape = bank.state.shape
+            bank.state[...] = np.where(include, rng.integers(9, 17, shape), rng.integers(1, 9, shape))
+        path = tmp_path / "model.tm"
+        model.save(path)
+        half = clause_count // 2
+        with StoredModel.open(path) as stored:
+            for k, (label, bank) in enumerate(model.banks.items()):
+                include = include_mask(bank)
+                oracle = [include[:half].sum(0), include[half:].sum(0)]
+                assert oracle[0][k] == oracle[1][k] == half
+                assert np.array_equal(bank.include_counts(), oracle)
+                assert np.array_equal(stored.banks[label].include_counts(), oracle)
+
     @pytest.mark.parametrize("feature_count", [1, 37, 70])
     def test_stream_reads_what_memory_and_load_hold(self, tmp_path, monkeypatch, feature_count):
         # Row blocks of 3 over 14 clauses: edges at rows 3 and 6 in the positive
