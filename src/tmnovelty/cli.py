@@ -266,10 +266,9 @@ def cmd_eval(config: RunConfig) -> None:
     tm_result = evaluation.score_discrimination(docs, labels, table.scores, seed=config.seed)
     tfidf_result = evaluation.score_discrimination(docs, labels, tfidf_novel, seed=config.seed)
 
-    doc_rows = []
-    for (doc_id, label, tokens) in token_docs:
-        aggregate = novelty.score_document(tokens, table)
-        doc_rows.append((doc_id, label.value, "" if aggregate is None else aggregate))
+    # The aggregate is the mean log feature, blank where no token is scored (coverage 0).
+    doc_rows = ((doc_id, label.value, mean_log if coverage else "")
+                for (doc_id, label, _), (mean_log, _, _, coverage) in zip(token_docs, tm_result.features.tolist()))
     write_csv(outdir / "doc_scores.csv", ("doc_id", "label", "aggregate"), doc_rows)
 
     evaluation.write_report_json(outdir / "report.json", config.seed, stats_rows, cfd_curves, tm_result, tfidf_result)

@@ -290,8 +290,10 @@ def write_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
 
 
 def read_vocabulary(path: str | Path) -> Vocabulary:
-    lines = read_utf8(path).splitlines()
-    return Vocabulary(tuple(w for w in lines if w))
+    words = tuple(w for w in read_utf8(path).splitlines() if w)
+    if not words:
+        raise ValueError(f"{path}: vocabulary holds no word")
+    return Vocabulary(words)
 
 
 def write_booldocs(docs: Iterable[BoolDoc], path: str | Path) -> None:

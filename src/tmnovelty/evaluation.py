@@ -2,9 +2,10 @@
 logistic regression on document score features, and ROC / precision-recall.
 
 Documents are summarized by four features of their per-word scores: mean
-log score, max score and fraction of tokens scoring above 1, the tuple
-``novelty.reduce_scores`` returns (the same reduction as the ``aggregate``
-column of ``doc_scores.csv``), plus scored-token coverage.  A seeded
+log score, max score, fraction of tokens scoring above 1 and scored-token
+coverage, the tuple ``novelty.score_document`` returns.  Its mean log is
+also the ``aggregate`` column of ``doc_scores.csv``, which ``eval`` reads
+off the clause-machine ranker's features.  A seeded
 stratified split plus full-batch logistic regression, with fixed step
 count, step size and L2 weight, turns those into a known/novel classifier
 whose ranking quality is reported as ROC AUC and average precision, both
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
 from statistics import fmean, pstdev
@@ -23,9 +24,9 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from . import novelty
 from ._files import atomic_write_text
 from .corpus import Label
-from .novelty import WordBags, reduce_scores, score_logs
 
 
 class WordCategory(str, Enum):
@@ -36,7 +37,7 @@ class WordCategory(str, Enum):
     SHARED = "shared"
 
 
-def categorize_words(bags: WordBags) -> dict[str, WordCategory]:
+def categorize_words(bags: novelty.WordBags) -> dict[str, WordCategory]:
     """Partition the scored vocabulary by raw (unsmoothed) bag membership."""
     out: dict[str, WordCategory] = {}
     for word in bags.words():
@@ -101,20 +102,19 @@ def doc_feature_matrix(
     token_docs: Sequence[Sequence[str]],
     word_scores: Mapping[str, float],
 ) -> np.ndarray:
-    """Four features per document from its per-word scores.
+    """Four features per document from its per-word scores: ``novelty.score_document``, one row each.
 
-    Columns: mean log score, max score, fraction of tokens with score > 1
-    (from ``reduce_scores``, whose log floor keeps scores at or below zero
-    finite), and scored-token coverage.  Documents with no scored token get
-    all-zero features.
+    Columns: mean log score (its log floor keeps scores at or below zero
+    finite), max score, fraction of tokens with score > 1, and scored-token
+    coverage.  Documents with no scored token get all-zero features.
     """
     out = np.zeros((len(token_docs), 4), dtype=np.float64)
-    logs = score_logs(word_scores.values())
+    table = novelty.ScoreTable(word_scores, {}, {})
     for i, tokens in enumerate(token_docs):
-        hits = [word_scores[t] for t in tokens if t in word_scores]
-        if not hits:
-            continue
-        out[i] = (*reduce_scores(hits, logs), len(hits) / len(tokens))
+        # Through the module, where a tracer wraps it.
+        row = novelty.score_document(tokens, table)
+        if row is not None:
+            out[i] = row
     return out
 
 
@@ -254,6 +254,8 @@ def train_test_split(labels: Sequence[Label], seed: int = 0) -> tuple[np.ndarray
 
     Each label must put at least one document on each side.
     """
+    if seed < 0:
+        raise ValueError("seed must be >= 0")
     labels = list(labels)
     rng = np.random.default_rng(seed)
     train_idx: list[int] = []
@@ -275,6 +277,7 @@ class DiscriminationResult:
 
     test_accuracy: float
     curves: RankingCurves
+    features: np.ndarray = field(repr=False, compare=False)  # every document's, as fitted and tested on
 
 
 def score_discrimination(
@@ -293,7 +296,7 @@ def score_discrimination(
     probs = model.predict_proba(features[test_idx])
     curves = roc_pr(probs, targets[test_idx].astype(bool))
     accuracy = float(np.mean((probs >= 0.5) == targets[test_idx].astype(bool)))
-    return DiscriminationResult(test_accuracy=accuracy, curves=curves)
+    return DiscriminationResult(test_accuracy=accuracy, curves=curves, features=features)
 
 
 def write_report_json(

@@ -8,16 +8,17 @@ no clause objects.  A word's novelty score is the ratio of its smoothed
 relative frequency in the novel bag to that in the known bag, so scores
 above 1 lean novel and below 1 lean known.  Each bag is summed once, and the
 whole table is scored in one pass over the words.  A document is reduced
-over its scored token occurrences by ``reduce_scores``, the one reduction,
-to the tuple (mean log, max, fraction above 1): the mean log is the
-``aggregate`` column, and all three are logistic document features.  The
-logs are taken once per distinct score (``score_logs``), not once per
-occurrence.  Pair scores divide clause co-occurrence probability by the
-product of the two words' bag frequencies, exposing words that the clauses
-treat as one context.  The pair counts, too, come from the include actions
-with no clause objects, counting only the requested words, in the same pass
-over the target bank that yields its include counts for the bags, so
-``context`` reads each bank once.
+over its scored token occurrences by ``score_document``, the one reduction,
+to the tuple (mean log, max, fraction above 1, coverage): the mean log is
+the ``aggregate`` column of ``doc_scores.csv``, and all four are the
+logistic document features.  The logs are taken once per distinct score
+(``ScoreTable.logs``), not once per occurrence.  Pair scores divide clause
+co-occurrence probability by the product of the two words' bag
+frequencies, exposing words that the clauses treat as one context.  The
+pair counts, too, come from the include actions with no clause objects,
+counting only the requested words, in the same pass over the target bank
+that yields its include counts for the bags, so ``context`` reads each
+bank once.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -89,6 +90,9 @@ def _smoothed(count: int) -> int:
     return count
 
 
+_LOG_FLOOR = 1e-12
+
+
 @dataclass(frozen=True)
 class ScoreTable:
     """Per-word novelty scores plus the relative frequencies behind them."""
@@ -105,8 +109,11 @@ class ScoreTable:
 
     @cached_property
     def logs(self) -> dict[float, float]:
-        """``score_logs`` of the scores, built on first use."""
-        return score_logs(self.scores.values())
+        """``math.log(max(s, 1e-12))`` per distinct score, built on first use: the logs ``score_document`` sums.
+
+        The floor keeps scores at or below zero (TF-IDF) finite.
+        """
+        return {s: math.log(max(s, _LOG_FLOOR)) for s in set(self.scores.values())}
 
 
 def novelty_scores(bags: WordBags) -> ScoreTable:
@@ -130,41 +137,19 @@ def novelty_scores(bags: WordBags) -> ScoreTable:
     return ScoreTable(scores=scores, rel_freq_known=rel_known, rel_freq_novel=rel_novel)
 
 
-_LOG_FLOOR = 1e-12
+def score_document(tokens: Sequence[str], table: ScoreTable) -> tuple[float, float, float, float] | None:
+    """(mean log, max, fraction above 1, coverage) over the document's scored token occurrences.
 
-
-def score_logs(scores: Iterable[float]) -> dict[float, float]:
-    """``math.log(max(s, 1e-12))`` per distinct score: the logs ``reduce_scores`` sums.
-
-    Scores at or below zero (TF-IDF) are floored at 1e-12, so every log is
-    finite.  Built once per score mapping, it replaces a log per token
-    occurrence with a lookup.
+    The occurrences' logs (``table.logs``) are summed exactly
+    (``math.fsum``); coverage is the scored share of the tokens.  None when
+    no token of the document is scored.
     """
-    return {s: math.log(max(s, _LOG_FLOOR)) for s in set(scores)}
-
-
-def reduce_scores(occurrence_scores: Sequence[float], logs: Mapping[float, float]) -> tuple[float, float, float]:
-    """(mean log, max, fraction above 1) over a document's scored token occurrences (at least one).
-
-    ``logs`` is ``score_logs`` of a mapping that holds every occurrence's
-    score; the occurrences' logs are summed exactly (``math.fsum``).
-    """
-    n = len(occurrence_scores)
-    sum_log = math.fsum(map(logs.__getitem__, occurrence_scores))
-    return sum_log / n, max(occurrence_scores), len([s for s in occurrence_scores if s > 1.0]) / n
-
-
-def score_document(tokens: Sequence[str], table: ScoreTable) -> float | None:
-    """Mean log score over the document's scored token occurrences.
-
-    None when no token of the document is scored.
-    """
-    if len(table) == 0:
-        raise ValueError("empty score table")
     occurrence_scores = [table.scores[t] for t in tokens if t in table.scores]
     if not occurrence_scores:
         return None
-    return reduce_scores(occurrence_scores, table.logs)[0]
+    n = len(occurrence_scores)
+    sum_log = math.fsum(map(table.logs.__getitem__, occurrence_scores))
+    return sum_log / n, max(occurrence_scores), len([s for s in occurrence_scores if s > 1.0]) / n, n / len(tokens)
 
 
 @dataclass(frozen=True)

@@ -109,6 +109,8 @@ class TMParams:
             raise ValueError("sensitivity must be > 1")
         if not 1 <= self.state_count <= _MAX_STATE_COUNT:
             raise ValueError(f"state_count must be in [1, {_MAX_STATE_COUNT}] (states are int16)")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def pack_bits(bits: np.ndarray) -> np.ndarray:

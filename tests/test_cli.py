@@ -271,6 +271,31 @@ class TestExitCodes:
         assert repr(doc_id) in one_line_error(capsys)
         assert not (out / "model.tm").exists()
 
+    def test_train_refuses_an_empty_vocabulary(self, tmp_path, corpus_dirs, capsys):
+        # A vocabulary with no word and documents with no set bit would train a model of 0 features.
+        run = small_run(tmp_path, corpus_dirs)
+        assert main(["ingest", *run["ingest"]]) == EXIT_OK
+        capsys.readouterr()
+        out = tmp_path / "out"
+        (out / "vocabulary.txt").write_text("", "utf-8")
+        header, *rows = (out / "booldocs.csv").read_text("utf-8").splitlines()
+        emptied = [row.rsplit(",", 1)[0] + "," for row in rows]
+        (out / "booldocs.csv").write_text("\n".join([header, *emptied]) + "\n", "utf-8")
+        assert main(["train", *run["train"]]) == EXIT_VALIDATION
+        assert "vocabulary.txt: vocabulary holds no word" in one_line_error(capsys)
+        assert not (out / "model.tm").exists()
+
+    @pytest.mark.parametrize("stage,product", [("train", "model.tm"), ("eval", "report.json")])
+    def test_negative_seed_is_validation_error(self, tmp_path, corpus_dirs, capsys, stage, product):
+        run = small_run(tmp_path, corpus_dirs)
+        assert main(["ingest", *run["ingest"]]) == EXIT_OK
+        if stage == "eval":
+            assert main(["train", *run["train"]]) == EXIT_OK
+        capsys.readouterr()
+        assert main([stage, *run[stage], "--seed", "-1"]) == EXIT_VALIDATION
+        assert "seed must be >= 0" in one_line_error(capsys)
+        assert not (tmp_path / "out" / product).exists()
+
     def test_vocab_hash_mismatch(self, tmp_path, corpus_dirs, capsys):
         run = small_run(tmp_path, corpus_dirs)
         assert main(["ingest", *run["ingest"]]) == EXIT_OK

@@ -261,6 +261,13 @@ class TestLoadersAndExports:
         assert read_vocabulary(path).words == vocab.words
         assert path.read_text("utf-8") == "a\nb\nc\n"
 
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_vocabulary_without_words_refused(self, tmp_path, text):
+        path = tmp_path / "vocab.txt"
+        path.write_text(text, "utf-8")
+        with pytest.raises(ValueError, match="vocab.txt: vocabulary holds no word"):
+            read_vocabulary(path)
+
     def test_booldocs_round_trip(self, tmp_path):
         vocab = build_vocabulary([["a", "b", "c"]])
         docs = [

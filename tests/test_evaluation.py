@@ -220,6 +220,10 @@ class TestTrainTestSplit:
         with pytest.raises(ValueError, match=f"{min(known, novel)} {label} document"):
             train_test_split([Label.KNOWN] * known + [Label.NOVEL] * novel)
 
+    def test_negative_seed_refused(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            train_test_split([Label.KNOWN] * 4 + [Label.NOVEL] * 4, seed=-1)
+
     def test_seeded_determinism(self):
         labels = [Label.KNOWN] * 7 + [Label.NOVEL] * 5
         a = train_test_split(labels, seed=5)

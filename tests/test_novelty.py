@@ -19,9 +19,7 @@ from tmnovelty.novelty import (
     contextual_score,
     cooccurrence,
     novelty_scores,
-    reduce_scores,
     score_document,
-    score_logs,
     word_pair_counts,
     write_score_table,
 )
@@ -247,24 +245,25 @@ class TestScoreDocument:
         assert score_document(["zzz", "qqq"], table) is None
 
     def test_single_known_word_logs_negative(self, table):
-        aggregate = score_document(["cricket"], table)
+        aggregate = score_document(["cricket"], table)[0]
         assert aggregate == pytest.approx(math.log(table.scores["cricket"]))
         assert aggregate < 0
 
     def test_mean_of_log_scores(self, table):
         expected = (math.log(table.scores["rugby"]) + math.log(table.scores["cricket"])) / 2
-        assert score_document(["rugby", "cricket"], table) == pytest.approx(expected)
+        assert score_document(["rugby", "cricket"], table)[0] == pytest.approx(expected)
 
     def test_document_features_come_from_the_same_reduction(self, table):
         tokens = ["rugby", "cricket", "rugby", "zzz", "match"]
         features = doc_feature_matrix([tokens], table.scores)[0]
-        assert features[0] == score_document(tokens, table)
+        assert features[0] == score_document(tokens, table)[0]
         assert features[1] == table.scores["rugby"]
         assert features[2] == 3 / 4  # rugby twice and match score above 1, cricket below
         assert features[3] == 4 / 5
 
     def test_log_floor_keeps_zero_scores_finite(self):
-        mean_log, _, fraction_above_one = reduce_scores([0.0, math.e], score_logs([0.0, math.e]))
+        table = ScoreTable(scores={"zero": 0.0, "e": math.e}, rel_freq_known={}, rel_freq_novel={})
+        mean_log, _, fraction_above_one, _ = score_document(["zero", "e"], table)
         assert mean_log == pytest.approx((math.log(1e-12) + 1.0) / 2)
         assert fraction_above_one == 0.5
 
@@ -291,12 +290,13 @@ class TestScoreDocument:
                 continue
             n = len(hits)
             mean_log = math.fsum(math.log(max(s, 1e-12)) for s in hits) / n
-            assert score_document(tokens, table) == mean_log
-            assert row == [mean_log, max(hits), sum(s > 1.0 for s in hits) / n, n / len(tokens)]
+            expected = [mean_log, max(hits), sum(s > 1.0 for s in hits) / n, n / len(tokens)]
+            assert list(score_document(tokens, table)) == expected
+            assert row == expected
 
     def test_occurrence_multiplicity_counts(self, table):
-        once = score_document(["rugby", "cricket"], table)
-        weighted = score_document(["rugby", "rugby", "cricket"], table)
+        once = score_document(["rugby", "cricket"], table)[0]
+        weighted = score_document(["rugby", "rugby", "cricket"], table)[0]
         assert weighted > once  # extra high-score occurrence pulls the mean up
 
 

@@ -49,6 +49,36 @@ sys.exit(main(["context", "--words", "rugby,old,cricket", "--out", out]))
 """
 
 
+# Installs the tracer, then runs the eval stage through the CLI on the
+# case-study model and eight token lists: each ranker reduces every document
+# once, inside its feature matrix.
+TRACED_EVAL = """
+import sys
+out = sys.argv.pop()
+sys.path[:0] = sys.argv[1:]
+from spans import Tracer
+tracer = Tracer()
+tracer.install()
+from helpers import case_study_model, case_study_vocab
+from tmnovelty.cli import main
+from tmnovelty.corpus import Label, write_tokens, write_vocabulary
+write_vocabulary(case_study_vocab(), out + "/vocabulary.txt")
+case_study_model().save(out + "/model.tm")
+docs = [(f"k{i}", Label.KNOWN, ["cricket", "six", "hit"][: 1 + i % 3]) for i in range(4)]
+docs += [(f"n{i}", Label.NOVEL, ["rugby", "old", "despite"][: 1 + i % 3]) for i in range(4)]
+write_tokens(docs, out + "/tokens.csv")
+assert main(["eval", "--out", out]) == 0
+spans = tracer.spans
+names = {span[0] for span in spans}
+for name in ("evaluation.score_discrimination", "evaluation.fit_logistic", "evaluation.roc_pr"):
+    assert name in names, (name, sorted(names))
+reduced = [span for span in spans if span[0] == "novelty.score_document"]
+assert len(reduced) == 2 * len(docs), len(reduced)
+for span in reduced:
+    assert span[3] >= 0 and spans[span[3]][0] == "evaluation.doc_feature_matrix", spans[span[3]]
+"""
+
+
 def _run_traced(script: str, last_arg: Path) -> subprocess.CompletedProcess:
     # A fresh interpreter, so the wrapped functions never leak into this one.
     return subprocess.run(
@@ -68,6 +98,12 @@ def test_traced_context_stage_runs(tmp_path):
     result = _run_traced(TRACED_CONTEXT, tmp_path)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "context_novel.csv").is_file()
+
+
+def test_traced_eval_stage_reduces_each_document_once_per_ranker(tmp_path):
+    result = _run_traced(TRACED_EVAL, tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "doc_scores.csv").is_file()
 
 
 def _load_faults() -> dict:

@@ -65,6 +65,11 @@ class TestParams:
         bank.type_i(np.array([0]), np.empty(0, dtype=np.int64), literal_vector(bits(True)), forget)
         assert bank.state[0].tolist() == [2 * n, 1]
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            small_params(seed=-1)
+        assert small_params(seed=0).seed == 0
+
 
 class TestPackBits:
     def test_round_trip_against_manual_bits(self):
