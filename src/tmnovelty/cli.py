@@ -5,6 +5,10 @@ them, and writes its products atomically, so re-running a stage with
 unchanged inputs rewrites byte-identical files.  Every CSV goes through
 ``_files.write_csv``.  A stage takes flags only for the settings it reads,
 and records those settings in ``<stage>_config.txt`` once it succeeds.
+While it runs, a stage holds an exclusive ``flock`` on ``<out>/.lock``, so
+a second stage on the same directory is refused.  The kernel frees the lock
+when the holder's process ends, however it ends, so what the file holds
+never matters.
 
 A stage refuses bad input by raising: ``MissingInputError`` for an input
 that is not there, ``ValueError`` for one that is wrong.  ``main`` alone
@@ -16,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import fcntl
 import os
 import sys
 from collections.abc import Callable, Iterator
@@ -41,46 +46,26 @@ class MissingInputError(Exception):
 
 @contextmanager
 def _output_lock(outdir: Path):
-    """One pipeline process per output directory.
-
-    A lock whose recorded PID names no live process was left by a crashed
-    stage; it is removed and taken.  Any other existing lock blocks.
-    """
+    """Hold the ``flock`` on ``<out>/.lock``; the file stays, as unlinking it would let two stages lock two inodes."""
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         raise ValueError(f"output directory is not a directory: {outdir}") from None
+    except OSError as err:
+        raise ValueError(f"cannot create output directory {outdir}: {err.strerror}") from None
     lock = outdir / ".lock"
-    for attempt in range(2):
-        try:
-            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-            break
-        except FileExistsError:
-            if attempt or not _lock_is_stale(lock):
-                raise ValueError(f"output directory is locked (remove {lock} if stale)") from None
-            lock.unlink(missing_ok=True)
     try:
-        os.write(fd, str(os.getpid()).encode())
-        os.close(fd)
+        fh = open(lock, "ab")  # writable: NFS emulates flock with POSIX locks, which need one
+    except OSError as err:
+        raise ValueError(f"cannot open {lock}: {err.strerror}") from None
+    with fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise ValueError(f"output directory is locked by another stage: {outdir}") from None
+        except OSError as err:
+            raise ValueError(f"cannot lock {lock}: {err.strerror}") from None
         yield
-    finally:
-        try:
-            os.unlink(lock)
-        except OSError:
-            pass
-
-
-def _lock_is_stale(lock: Path) -> bool:
-    """True when the lock holds a decimal PID that no live process has."""
-    try:
-        text = lock.read_text("ascii").strip()
-        if text.isdecimal():
-            os.kill(int(text), 0)
-    except ProcessLookupError:
-        return True
-    except (OSError, OverflowError, UnicodeDecodeError):
-        pass
-    return False
 
 
 def _build_config(args: argparse.Namespace) -> RunConfig:

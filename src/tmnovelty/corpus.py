@@ -119,7 +119,8 @@ class Vocabulary:
     def __post_init__(self) -> None:
         index = {w: i for i, w in enumerate(self.words)}
         if len(index) != len(self.words):
-            raise ValueError("vocabulary contains duplicate words")
+            repeated = next(w for w, count in Counter(self.words).items() if count > 1)
+            raise ValueError(f"vocabulary repeats the word {repeated!r}")
         object.__setattr__(self, "index_of", index)
 
     def __len__(self) -> int:
@@ -293,7 +294,10 @@ def read_vocabulary(path: str | Path) -> Vocabulary:
     words = tuple(w for w in read_utf8(path).splitlines() if w)
     if not words:
         raise ValueError(f"{path}: vocabulary holds no word")
-    return Vocabulary(words)
+    try:
+        return Vocabulary(words)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 def write_booldocs(docs: Iterable[BoolDoc], path: str | Path) -> None:
@@ -327,22 +331,32 @@ def read_tokens(path: str | Path) -> list[tuple[str, Label, list[str]]]:
 
 
 def _csv_rows(path: str | Path, columns: Sequence[str]) -> Iterator[dict[str, str]]:
-    """Rows of a CSV file whose header names every given column; each row must fill them.
+    """Rows of a CSV file whose header names every given column; each row has the header's width.
 
     Fields may be of any length: a long document's token list is one field.  A
-    leading byte-order mark, as spreadsheet exports write it, is dropped.
+    leading byte-order mark, as spreadsheet exports write it, is dropped.  A
+    row of another width, an unterminated quote or text after a closing quote
+    is refused, naming the line the row starts on, not read as a shorter or
+    merged row.
     """
     csv.field_size_limit(sys.maxsize)
     name = Path(path).name
     with Path(path).open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh, strict=True)
+        line = 1  # where the record being read starts
         try:
-            missing = [c for c in columns if c not in (reader.fieldnames or ())]
+            header = next(reader, [])
+            missing = [c for c in columns if c not in header]
             if missing:
                 raise ValueError(f"{name}: header lacks column(s) {', '.join(missing)}")
-            for row in reader:
-                if any(row[c] is None for c in columns):
-                    raise ValueError(f"{name} line {reader.line_num}: too few fields")
-                yield row
+            line = reader.line_num + 1
+            for fields in reader:
+                if fields:  # a blank line holds no row
+                    if len(fields) != len(header):
+                        raise ValueError(f"{name} line {line}: {len(fields)} fields, the header has {len(header)}")
+                    yield dict(zip(header, fields))
+                line = reader.line_num + 1
+        except csv.Error as err:
+            raise ValueError(f"{name} line {line}: {err}") from None
         except UnicodeDecodeError:
             raise ValueError(f"{name}: not UTF-8 text") from None

@@ -2,10 +2,12 @@
 
 import csv
 import dataclasses
+import fcntl
 import json
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -13,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tmnovelty import novelty, tsetlin
+from tmnovelty import cli, novelty, tsetlin
 from tmnovelty.cli import EXIT_MISSING, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from tmnovelty.config import RunConfig, parse_config, serialize_config
 from tmnovelty.corpus import Label, Vocabulary, read_tokens, read_vocabulary, write_tokens, write_vocabulary
@@ -158,6 +160,65 @@ class TestCsvFields:
             with (out / name).open(newline="", encoding="utf-8") as fh:
                 assert [row["doc_id"] for row in csv.DictReader(fh)] == ids, name
 
+
+class TestMalformedCsv:
+    """A row that would read back short, long or merged is refused with its file and line."""
+
+    @staticmethod
+    def ingested(tmp_path, corpus_dirs, capsys) -> Path:
+        out = tmp_path / "out"
+        assert main(["ingest", *corpus_flags(corpus_dirs), "--out", str(out)]) == EXIT_OK
+        capsys.readouterr()
+        return out
+
+    def test_corpus_row_with_more_fields_than_the_header(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus.csv"
+        # A blank line holds no row but counts as a line.
+        corpus.write_text("doc_id,label,text\nd0,novel,rugby old ball\n\nd1,known,cricket bat ball, and wicket\n", "utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--csv-path", str(corpus), "--out", str(out)]) == EXIT_VALIDATION
+        assert one_line_error(capsys) == "error: corpus.csv line 4: 4 fields, the header has 3\n"
+        assert [p.name for p in out.iterdir()] == [".lock"]
+
+    @pytest.mark.parametrize(
+        "name,row,stage,product",
+        [("tokens.csv", "x,known,cricket six,ball\n", "tfidf", "tfidf.csv"),
+         ("tokens.csv", "x,known\n", "tfidf", "tfidf.csv"),
+         ("booldocs.csv", "x,known,0;1,2\n", "train", "model.tm")],
+        ids=["tokens-long", "tokens-short", "booldocs-long"],
+    )
+    def test_stage_row_of_another_width_than_the_header(self, tmp_path, corpus_dirs, capsys, name, row, stage, product):
+        out = self.ingested(tmp_path, corpus_dirs, capsys)
+        with (out / name).open("a", encoding="utf-8") as fh:
+            fh.write(row)  # line 14, after the header and 12 documents
+        argv = [stage, *(TRAIN_PARAMS if stage == "train" else []), "--out", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        width = row.count(",") + 1
+        assert one_line_error(capsys) == f"error: {name} line 14: {width} fields, the header has 3\n"
+        assert not (out / product).exists()
+
+    @pytest.mark.parametrize(
+        "row,problem",
+        # The unterminated quote would swallow every line after it; the row's first line is named.
+        [('x,known,"abc def\ny,novel,rugby ball\n', "unexpected end of data"),
+         ('x,known,"abc" def\n', "',' expected after '\"'")],
+        ids=["unterminated-quote", "text-after-closing-quote"],
+    )
+    def test_malformed_quoting(self, tmp_path, corpus_dirs, capsys, row, problem):
+        out = self.ingested(tmp_path, corpus_dirs, capsys)
+        with (out / "tokens.csv").open("a", encoding="utf-8") as fh:
+            fh.write(row)
+        assert main(["tfidf", "--out", str(out)]) == EXIT_VALIDATION
+        assert one_line_error(capsys) == f"error: tokens.csv line 14: {problem}\n"
+        assert not (out / "tfidf.csv").exists()
+
+    def test_vocabulary_repeating_a_word(self, tmp_path, corpus_dirs, capsys):
+        out = self.ingested(tmp_path, corpus_dirs, capsys)
+        vocabulary = out / "vocabulary.txt"
+        vocabulary.write_text(vocabulary.read_text("utf-8") + "cricket\n", "utf-8")
+        assert main(["train", *TRAIN_PARAMS, "--out", str(out)]) == EXIT_VALIDATION
+        assert one_line_error(capsys) == f"error: {vocabulary}: vocabulary repeats the word 'cricket'\n"
+        assert not (out / "model.tm").exists()
 
 def small_run(tmp_path, corpus_dirs):
     """Each stage's flags for a small run into tmp_path/out."""
@@ -786,7 +847,7 @@ class TestIngestRefusals:
         out = tmp_path / "out"
         assert grouped_ingest(grouped_root, out, known=known, novel=novel) == EXIT_VALIDATION
         assert f"duplicate doc id in the corpus: {doc_id!r}" in one_line_error(capsys)
-        assert list(out.iterdir()) == []
+        assert [p.name for p in out.iterdir()] == [".lock"]
 
     def test_csv_duplicate_doc_id(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.csv"
@@ -794,7 +855,7 @@ class TestIngestRefusals:
         out = tmp_path / "out"
         assert main(["ingest", "--csv-path", str(corpus), "--out", str(out)]) == EXIT_VALIDATION
         assert "duplicate doc id in the corpus: 'a'" in one_line_error(capsys)
-        assert list(out.iterdir()) == []
+        assert [p.name for p in out.iterdir()] == [".lock"]
 
     @pytest.mark.parametrize(
         "sources,named",
@@ -820,7 +881,7 @@ class TestIngestRefusals:
         argv = ["ingest", *(flag for source in sources for flag in flags[source]), "--out", str(out)]
         assert main(argv) == EXIT_VALIDATION
         assert f"more than one corpus source: {named}" in one_line_error(capsys)
-        assert list(out.iterdir()) == []
+        assert [p.name for p in out.iterdir()] == [".lock"]
 
 
 class TestIngestWritesAllOrNothing:
@@ -873,7 +934,7 @@ class TestBadUserPath:
         code = main(["ingest", *corpus_flags(corpus_dirs), "--stoplist", given, "--out", str(out)])
         assert code == EXIT_MISSING
         assert one_line_error(capsys) == f"error: stoplist not found: {Path(given)}\n"
-        assert list(out.iterdir()) == []
+        assert [p.name for p in out.iterdir()] == [".lock"]
 
     @pytest.mark.parametrize("stage", ["ingest", "train", "describe", "context", "tfidf", "eval"])
     def test_out_naming_a_file(self, tmp_path, corpus_dirs, capsys, stage):
@@ -998,32 +1059,81 @@ class TestConfigRoundTrip:
             written.add(expected)
             assert {p.name for p in tmp_path.iterdir() if (p / "vocabulary.txt").is_file()} == written
 
-    def test_lock_file_blocks_concurrent_use(self, tmp_path, corpus_dirs):
-        known, novel = corpus_dirs
-        out = tmp_path / "out"
-        out.mkdir()
-        (out / ".lock").write_text(str(os.getpid()), "utf-8")  # a live process holds it
-        code = main(["ingest", "--known-dir", str(known), "--novel-dir", str(novel), "--out", str(out)])
-        assert code == EXIT_VALIDATION
 
-    def test_unparsable_lock_blocks(self, tmp_path, corpus_dirs, capsys):
-        known, novel = corpus_dirs
-        out = tmp_path / "out"
-        out.mkdir()
-        (out / ".lock").write_text("not-a-pid", "utf-8")
-        code = main(["ingest", "--known-dir", str(known), "--novel-dir", str(novel), "--out", str(out)])
-        assert code == EXIT_VALIDATION
-        assert "locked" in one_line_error(capsys)
-        assert (out / ".lock").read_text("utf-8") == "not-a-pid"
+class TestOutputLock:
+    """A stage holds an exclusive ``flock`` on ``<out>/.lock``; what the file holds never matters."""
 
-    def test_lock_of_exited_process_is_taken(self, tmp_path, corpus_dirs):
-        known, novel = corpus_dirs
+    @staticmethod
+    def ingest(corpus_dirs, out) -> int:
+        return main(["ingest", *corpus_flags(corpus_dirs), "--out", str(out)])
+
+    @staticmethod
+    def lock_is_free(out) -> bool:
+        with open(out / ".lock", "ab") as fh:
+            try:
+                fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            except BlockingIOError:
+                return False
+        return True
+
+    def test_leftover_lock_naming_a_live_process_does_not_block(self, tmp_path, corpus_dirs):
         out = tmp_path / "out"
         out.mkdir()
-        child = subprocess.Popen([sys.executable, "-c", "pass"])
-        child.wait()  # reaped: its PID names no live process
-        (out / ".lock").write_text(str(child.pid), "utf-8")
-        code = main(["ingest", "--known-dir", str(known), "--novel-dir", str(novel), "--out", str(out)])
-        assert code == EXIT_OK
+        (out / ".lock").write_text(str(os.getpid()), "utf-8")  # a live PID, but nobody holds the lock
+        assert self.ingest(corpus_dirs, out) == EXIT_OK
         assert (out / "vocabulary.txt").is_file()
-        assert not (out / ".lock").exists()
+
+    def test_held_lock_refuses_the_stage(self, tmp_path, corpus_dirs, capsys):
+        out = tmp_path / "out"
+        out.mkdir()
+        with open(out / ".lock", "ab") as holder:
+            fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert self.ingest(corpus_dirs, out) == EXIT_VALIDATION
+            captured = capsys.readouterr()
+            assert captured.err == f"error: output directory is locked by another stage: {out}\n"
+            assert captured.out == ""
+            assert [p.name for p in out.iterdir()] == [".lock"]
+        assert self.ingest(corpus_dirs, out) == EXIT_OK
+
+    def test_stage_holds_the_lock_while_it_runs_and_frees_it_after(self, tmp_path, monkeypatch):
+        out = tmp_path / "out"
+        seen = []
+        monkeypatch.setitem(cli.STAGES, "tfidf", (lambda config: seen.append(self.lock_is_free(out)), "", ()))
+        assert main(["tfidf", "--out", str(out)]) == EXIT_OK
+        assert seen == [False]
+        assert self.lock_is_free(out)
+
+    def test_refused_stage_frees_the_lock(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["eval", "--out", str(out)]) == EXIT_MISSING
+        assert self.lock_is_free(out)
+
+    def test_lock_of_a_killed_holder_is_taken(self, tmp_path, corpus_dirs):
+        out = tmp_path / "out"
+        out.mkdir()
+        hold = ("import fcntl, sys, time\n"
+                "fh = open(sys.argv[1], 'ab')\n"
+                "fcntl.flock(fh, fcntl.LOCK_EX)\n"
+                "print('held', flush=True)\n"
+                "time.sleep(60)\n")
+        with subprocess.Popen([sys.executable, "-c", hold, str(out / ".lock")], stdout=subprocess.PIPE, text=True) as holder:
+            try:
+                assert holder.stdout.readline() == "held\n"
+                assert self.ingest(corpus_dirs, out) == EXIT_VALIDATION
+            finally:
+                holder.send_signal(signal.SIGKILL)
+        assert holder.returncode == -signal.SIGKILL
+        assert self.ingest(corpus_dirs, out) == EXIT_OK
+        assert (out / "vocabulary.txt").is_file()
+
+    def test_output_directory_that_cannot_be_created(self, tmp_path, capsys):
+        out = tmp_path / ("x" * 300)  # longer than a file name may be
+        assert main(["tfidf", "--out", str(out)]) == EXIT_VALIDATION
+        assert one_line_error(capsys) == f"error: cannot create output directory {out}: File name too long\n"
+
+    def test_lock_that_is_a_directory(self, tmp_path, corpus_dirs, capsys):
+        out = tmp_path / "out"
+        (out / ".lock").mkdir(parents=True)
+        assert self.ingest(corpus_dirs, out) == EXIT_VALIDATION
+        assert str(out / ".lock") in one_line_error(capsys)
+        assert [p.name for p in out.iterdir()] == [".lock"]
