@@ -203,10 +203,13 @@ def cmd_context(config: RunConfig, word_list: str, target_class: Label) -> None:
     vocab = _read_vocab(outdir)
     with _read_model(outdir, vocab) as model:
         _refuse_unscored(words, vocab)
-        # One pass over the target bank counts the pairs and its include
-        # actions; the scores then read the other bank only.
-        co = novelty.word_pair_counts(model, target_class, words, vocab)
-        _, table = _score_table(vocab, model, {target_class: co.include_counts})
+        # One pass over each bank, both at once: the target bank's counts the
+        # pairs and its include actions, the other bank's its include actions.
+        jobs = {label: bank.include_counts for label, bank in model.banks.items()}
+        jobs[target_class] = lambda: novelty.word_pair_counts(model, target_class, words, vocab)
+        counted = tsetlin.read_banks(jobs)
+        co = counted[target_class]
+        _, table = _score_table(vocab, model, {**counted, target_class: co.include_counts})
         _refuse_unscored(words, table)
     path = outdir / f"context_{target_class.value}.csv"
     novelty.write_cooccurrence_matrix(co, table, words, path)

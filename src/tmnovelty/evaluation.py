@@ -131,16 +131,24 @@ def logistic_loss_grad(
     l2: float,
 ) -> tuple[float, np.ndarray, float]:
     """Mean log-loss with an L2 term on the weights (bias unpenalized), and its gradient."""
-    n = features.shape[0]
     probs = sigmoid(features @ weights + bias)
     eps = 1e-15
     clipped = np.clip(probs, eps, 1.0 - eps)
     loss = -float(np.mean(targets * np.log(clipped) + (1.0 - targets) * np.log(1.0 - clipped)))
     loss += 0.5 * l2 * float(weights @ weights)
+    return (loss, *_logistic_grad(probs, weights, features, targets, l2))
+
+
+def _logistic_grad(
+    probs: np.ndarray,
+    weights: np.ndarray,
+    features: np.ndarray,
+    targets: np.ndarray,
+    l2: float,
+) -> tuple[np.ndarray, float]:
+    """The gradient of ``logistic_loss_grad``'s loss, given the predicted probabilities: (weights, bias)."""
     residual = probs - targets
-    grad_w = features.T @ residual / n + l2 * weights
-    grad_b = float(np.mean(residual))
-    return loss, grad_w, grad_b
+    return features.T @ residual / features.shape[0] + l2 * weights, float(np.mean(residual))
 
 
 @dataclass
@@ -184,7 +192,8 @@ def fit_logistic(features: np.ndarray, targets: np.ndarray) -> LogisticModel:
     weights = np.zeros(standardized.shape[1])
     bias = 0.0
     for _ in range(epochs):
-        _, grad_w, grad_b = logistic_loss_grad(weights, bias, standardized, targets, l2)
+        probs = sigmoid(standardized @ weights + bias)
+        grad_w, grad_b = _logistic_grad(probs, weights, standardized, targets, l2)
         weights -= learning_rate * grad_w
         bias -= learning_rate * grad_b
     return LogisticModel(weights=weights, bias=bias, feature_mean=mean, feature_scale=scale, kept=kept)

@@ -18,7 +18,7 @@ frequencies, exposing words that the clauses treat as one context.  The
 pair counts, too, come from the include actions with no clause objects,
 counting only the requested words, in the same pass over the target bank
 that yields its include counts for the bags, so ``context`` reads each
-bank once.
+bank once, both at once.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ import numpy as np
 
 from ._files import write_csv
 from .corpus import Label, Vocabulary
-from .tsetlin import ExtractedClause, StoredModel, TMModel
+from .tsetlin import ExtractedClause, StoredModel, TMModel, read_banks
 
 
 @dataclass(frozen=True)
@@ -69,15 +69,18 @@ def build_word_bags(
     flips the destination.  Each clause membership counts once, so the bags
     are sums of the banks' per-literal include counts (``include_counts``).
     ``counted`` holds the counts of banks the caller has read already
-    (``WordPairCounts.include_counts``); every other bank is read here.
+    (``WordPairCounts.include_counts``); every other bank is read here, all
+    of them at once (``read_banks``).
     """
     if len(vocab) != model.feature_count:
         raise ValueError("vocabulary size != model feature count")
     counted = counted or {}
+    unread = {label: bank.include_counts for label, bank in model.banks.items() if label not in counted}
+    counted = {**counted, **read_banks(unread)}
     o = model.feature_count
     bags = np.zeros((2, o), dtype=np.int64)  # known, novel
     for k, label in enumerate((Label.KNOWN, Label.NOVEL)):
-        for_votes, against_votes = counted[label] if label in counted else model.banks[label].include_counts()
+        for_votes, against_votes = counted[label]
         bags[k] += for_votes[:o] + against_votes[o:]
         bags[1 - k] += for_votes[o:] + against_votes[:o]
     known, novel = ({w: c for w, c in zip(vocab.words, bag.tolist()) if c} for bag in bags)

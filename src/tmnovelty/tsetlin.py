@@ -34,9 +34,12 @@ by both banks' states, and the banks' states are views into it: ``save``
 writes the header into the slot and the image straight to disk, and
 ``load`` reads the file straight into it; the read stages stream the file
 instead (``StoredModel``).  No full include mask is built: every reader takes
-a bank's include actions a row block at a time (``include_blocks``).  Feedback
-gathers at most ``_FEEDBACK_BYTES`` of states per block, since both workers'
-blocks and the draws are live at once; the 1/s positions are built in place.
+a bank's include actions a row block at a time (``include_blocks``), each
+block small enough to stay in a core's L2 cache.  A read stage reads both
+banks at once, one thread per bank (``read_banks``), each ``pread``-ing its
+blocks from the held file at their own offsets.  Feedback gathers at most
+``_FEEDBACK_BYTES`` of states per block, since both workers' blocks and the
+draws are live at once; the 1/s positions are built in place.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -64,9 +67,10 @@ _PARAM_TYPES = {"clause_count": int, "vote_margin": int, "sensitivity": (int, fl
 
 # Longest header line a model file may have.
 _MAX_HEADER_BYTES = 1 << 16
-# Upper bound on the temporaries of one evaluation or read block.
-_BLOCK_BYTES = 1 << 23
-# Most rows whose include bits a uint16 column sum can count.
+# Upper bound on the temporaries of one evaluation or read block: a read
+# block, its include mask and its sums stay in a core's 2 MiB L2 cache.
+_BLOCK_BYTES = 1 << 20
+# Most rows in a block, so that a uint16 column sum of its include bits cannot overflow.
 _UINT16_ROWS = np.iinfo(np.uint16).max
 # Banks whose states take more bytes than this apply feedback on worker
 # threads; below it, thread hand-offs cost more than they save (see README).
@@ -178,7 +182,7 @@ class ClauseBank:
         self.state[...] = state_count
         self.positive_mask = np.zeros(clause_count, dtype=bool)
         self.positive_mask[: clause_count // 2] = True
-        self._block_rows = max(1, _BLOCK_BYTES // max(1, self.state.itemsize * self.literal_count))
+        self._block_rows = _block_rows(self.literal_count)
         self._feedback_rows = max(1, _FEEDBACK_BYTES // max(1, self.state.itemsize * self.literal_count))
         self._packed: np.ndarray | None = None  # (words, clauses) packed include bits
 
@@ -201,9 +205,8 @@ class ClauseBank:
             cut = min(max(half - start, 0), len(include))
             for k, part in enumerate((include[:cut], include[cut:])):
                 # The bool bytes summed in uint16 take about half the time of an
-                # int32 sum; a sum of at most 2**16 - 1 rows cannot overflow.
-                for lo in range(0, len(part), _UINT16_ROWS):
-                    counts[k] += np.add.reduce(part[lo : lo + _UINT16_ROWS].view(np.uint8), axis=0, dtype=np.uint16)
+                # int32 sum; a block has at most 2**16 - 1 rows, so it cannot overflow.
+                counts[k] += np.add.reduce(part.view(np.uint8), axis=0, dtype=np.uint16)
         return counts
 
     def _write_rows(self, rows: np.ndarray, block: np.ndarray) -> None:
@@ -347,8 +350,11 @@ class TMModel:
         with open(path, "rb") as fh:
             params, feature_count, vocab_hash = _read_header(fh, path)
             model = cls.create(params, feature_count, vocab_hash=vocab_hash)
+            offset = fh.tell()
             for label in _CLASS_ORDER:
-                _read_states(fh, model.banks[label].state, label, params.state_count, path)
+                state = model.banks[label].state
+                _read_states(fh.fileno(), offset, state, label, params.state_count, path)
+                offset += state.nbytes
         return model
 
 
@@ -359,15 +365,21 @@ class StoredBank:
         self.clause_count, self.literal_count = params.clause_count, 2 * feature_count
         self.state_count, self._fh, self._path, self._label = params.state_count, fh, path, _CLASS_ORDER[k]
         self._offset = body + k * 2 * self.clause_count * self.literal_count  # the bank's first state
-        self._block_rows = max(1, _BLOCK_BYTES // (2 * self.literal_count))
+        self._block_rows = _block_rows(self.literal_count)
 
     def include_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """``ClauseBank.include_blocks`` from the file: each block is read into one buffer and checked."""
+        """``ClauseBank.include_blocks`` from the file: each block is read into this pass's buffer and checked.
+
+        Blocks are read at their own offsets, never through the file
+        position, so passes over both banks can run at once.  A pass started
+        on a closed file raises rather than read a reused descriptor.
+        """
+        fd = self._fh.fileno()
         buffer = np.empty((min(self._block_rows, self.clause_count), self.literal_count), dtype="<i2")
         for start in range(0, self.clause_count, len(buffer)):
             block = buffer[: self.clause_count - start]
-            self._fh.seek(self._offset + start * buffer[0].nbytes)
-            _read_states(self._fh, block, self._label, self.state_count, self._path)
+            _read_states(fd, self._offset + start * buffer[0].nbytes, block, self._label, self.state_count,
+                         self._path)
             yield start, block > self.state_count
 
     include_counts = ClauseBank.include_counts
@@ -379,7 +391,8 @@ class StoredModel:
 
     The header is checked on opening and the states stay in the held file,
     so every pass reads the same file, a block at a time, even if its path is
-    replaced meanwhile.
+    replaced meanwhile.  Every pass must end inside the ``with``, which
+    closes the file: ``read_banks`` returns only when its passes have.
     """
 
     params: TMParams
@@ -422,10 +435,39 @@ def _read_header(fh, path: str | Path) -> tuple[TMParams, int, str]:
     return params, feature_count, vocab_hash
 
 
-def _read_states(fh, out: np.ndarray, label: Label, state_count: int, path: str | Path) -> None:
-    """Fill ``out`` with the next states of ``label``'s bank; a short read or a state outside [1, 2n] raises."""
-    if fh.readinto(out) != out.nbytes:  # a buffered read fills the array unless at EOF
-        raise ValueError(f"model file ended before its states did: {path}")
+_Read = TypeVar("_Read")
+
+
+def read_banks(jobs: Mapping[Label, Callable[[], _Read]]) -> dict[Label, _Read]:
+    """Run one read pass per bank, each on its own thread, and return their results in file order.
+
+    The threads live only for this call, and every pass has ended when it
+    returns or raises, so none outlives the file it reads.  When passes
+    fail, the error of the first failed bank in file order is raised.
+    """
+    with ThreadPoolExecutor(len(jobs) or 1, thread_name_prefix="tmnovelty-read") as pool:
+        futures = {label: pool.submit(job) for label, job in jobs.items()}
+    return {label: futures[label].result() for label in _CLASS_ORDER if label in futures}
+
+
+def _block_rows(literal_count: int) -> int:
+    """Rows per read block: at most ``_BLOCK_BYTES`` of int16 states, and at most ``_UINT16_ROWS``."""
+    return max(1, min(_UINT16_ROWS, _BLOCK_BYTES // (2 * max(1, literal_count))))
+
+
+def _read_states(fd: int, offset: int, out: np.ndarray, label: Label, state_count: int, path: str | Path) -> None:
+    """Fill ``out`` with ``label``'s states at byte ``offset`` of the file; a short file or a state outside [1, 2n] raises.
+
+    The read is positional (``os.preadv``), so it neither uses nor moves the
+    file position; a short read is refilled until the file ends.
+    """
+    view = memoryview(out).cast("B")
+    done = 0
+    while done < len(view):
+        got = os.preadv(fd, [view[done:]], offset + done)
+        if got == 0:
+            raise ValueError(f"model file ended before its states did: {path}")
+        done += got
     if out.min() < 1 or out.max() > 2 * state_count:
         raise ValueError(f"{label.value} clause states outside [1, {2 * state_count}] in model file: {path}")
 

@@ -10,6 +10,7 @@ import shlex
 import signal
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -468,6 +469,67 @@ def test_bad_state_in_the_last_block_of_the_second_bank_is_rejected(tmp_path, ca
     assert not [name for name in (*READ_OUTPUTS, "context_known.csv") if (out / name).exists()]
 
 
+def _bad_states(last_known: bool, first_novel: bool):
+    """A model.tm edit that puts 999 into the last state of the known bank and/or the first of the novel bank."""
+    def edit(out, body, bank_bytes):
+        raw = bytearray((out / "model.tm").read_bytes())
+        for bad, at in ((last_known, body + bank_bytes - 2), (first_novel, body + bank_bytes)):
+            if bad:
+                raw[at : at + 2] = np.array([999], dtype="<i2").tobytes()
+        (out / "model.tm").write_bytes(bytes(raw))
+    return edit
+
+
+def _truncate_inside_the_second_bank(monkeypatch):
+    """After the header and size check pass, cut the file one row into the novel bank."""
+    def edit(out, body, bank_bytes):
+        real_read_header = tsetlin._read_header
+
+        def read_header_then_truncate(fh, path):
+            checked = real_read_header(fh, path)
+            os.truncate(path, body + bank_bytes + 2 * 2 * len(CASE_STUDY_WORDS))
+            return checked
+
+        monkeypatch.setattr(tsetlin, "_read_header", read_header_then_truncate)
+    return edit
+
+
+# Both banks are read at once, one thread per bank.  The known bank is the first
+# in file order, so when both fail, its error is the one reported, though its
+# bad state sits in its last block and the novel bank's in its first.
+CONCURRENT_FAILURES = {
+    "novel-only": (lambda monkeypatch: _bad_states(False, True), "novel clause states outside [1, 16]"),
+    "both-banks": (lambda monkeypatch: _bad_states(True, True), "known clause states outside [1, 16]"),
+    "ends-in-second-bank": (_truncate_inside_the_second_bank, "model file ended before its states did"),
+}
+
+
+@pytest.mark.parametrize("failure", CONCURRENT_FAILURES.values(), ids=CONCURRENT_FAILURES.keys())
+@pytest.mark.parametrize("stage", READ_STAGES.values(), ids=READ_STAGES.keys())
+def test_concurrent_bank_read_fails_cleanly(tmp_path, capsys, monkeypatch, stage, failure):
+    make_edit, message = failure
+    monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", 2 * 2 * 2 * len(CASE_STUDY_WORDS))  # two of four rows per block
+    out = tmp_path / "out"
+    _case_study_run(out)
+    raw = (out / "model.tm").read_bytes()
+    body = raw.index(b"\n") + 1
+    make_edit(monkeypatch)(out, body, (len(raw) - body) // 2)
+    opened = []
+    real_open = open
+
+    def recording_open(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(tsetlin, "open", recording_open, raising=False)
+    names, threads = {*os.listdir(out), ".lock"}, threading.active_count()  # every stage leaves its lock file
+    assert main([*stage, "--out", str(out)]) == EXIT_VALIDATION
+    assert message in one_line_error(capsys)
+    assert set(os.listdir(out)) == names
+    assert len(opened) == 1 and opened[0].closed
+    assert threading.active_count() == threads
+
+
 @pytest.mark.parametrize("stage", LAST_BLOCK_STAGES.values(), ids=LAST_BLOCK_STAGES.keys())
 def test_read_stage_reads_every_block_once(tmp_path, monkeypatch, stage):
     monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", 2 * 2 * 2 * len(CASE_STUDY_WORDS))  # two of four rows per block
@@ -479,9 +541,9 @@ def test_read_stage_reads_every_block_once(tmp_path, monkeypatch, stage):
     reads = []
     read_states = tsetlin._read_states
 
-    def counted(fh, block, label, state_count, path):
-        reads.append((fh.tell(), label))
-        read_states(fh, block, label, state_count, path)
+    def counted(fd, offset, block, label, state_count, path):
+        reads.append((offset, label))
+        read_states(fd, offset, block, label, state_count, path)
 
     monkeypatch.setattr(tsetlin, "_read_states", counted)
     assert main([*stage, "--out", str(out)]) == EXIT_OK

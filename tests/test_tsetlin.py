@@ -645,13 +645,14 @@ class TestStoredModel:
 
     @pytest.mark.parametrize("clause_count", [70_000, 140_000])
     def test_include_counts_of_a_block_of_many_rows(self, tmp_path, clause_count):
-        # One feature makes a row block of 2**21 rows, so each bank is one block
-        # of more than 2**16 rows; at 140 000 clauses each polarity half alone
-        # has 70 000.  A literal included by every clause counts them all.
+        # One feature would make a row block of 2**18 rows, so the cap of
+        # 2**16 - 1 rows sets the block, and each bank has more rows than a
+        # uint16 column sum can count; at 140 000 clauses each polarity half
+        # alone has 70 000.  A literal included by every clause counts them all.
         model = TMModel.create(small_params(clause_count=clause_count), 1)
         rng = np.random.default_rng(clause_count)
         for k, bank in enumerate(model.banks.values()):
-            assert bank._block_rows >= clause_count
+            assert bank._block_rows == tsetlin._UINT16_ROWS < clause_count
             include = rng.random(bank.state.shape) < 0.5
             include[:, k] = True
             shape = bank.state.shape
@@ -713,6 +714,17 @@ class TestStoredModel:
         with pytest.raises(ValueError, match="novel clause states outside"):
             TMModel.load(path)
 
+    def test_short_reads_are_refilled(self, tmp_path, monkeypatch):
+        # Every positional read returns at most 7 bytes, so each block takes many.
+        model = case_study_model()
+        model.save(tmp_path / "model.tm")
+        real_preadv = os.preadv
+        monkeypatch.setattr(tsetlin.os, "preadv", lambda fd, buffers, offset: real_preadv(fd, [buffers[0][:7]], offset))
+        with StoredModel.open(tmp_path / "model.tm") as stored:
+            for label, bank in stored.banks.items():
+                assert np.array_equal(bank.include_counts(), model.banks[label].include_counts())
+        assert np.array_equal(TMModel.load(tmp_path / "model.tm").banks[Label.NOVEL].state, model.banks[Label.NOVEL].state)
+
     def test_opening_checks_the_header_and_the_file_is_closed_after(self, tmp_path):
         path = tmp_path / "junk.tm"
         path.write_bytes(b'{"format": "something-else"}\nxxxx')
@@ -735,6 +747,60 @@ def _random_docs(seed: int, count: int, features: int, density: float = 0.05) ->
 
 def _trained_states(model: TMModel) -> list[bytes]:
     return [model.banks[label].state.tobytes() for label in (Label.KNOWN, Label.NOVEL)]
+
+
+class TestReadBanks:
+    """``read_banks`` runs one pass per bank at once and ends every pass before it returns."""
+
+    def test_both_passes_run_at_once_and_come_back_in_file_order(self):
+        # Each pass waits for the other at the barrier, so serial passes would time out.
+        barrier = threading.Barrier(2, timeout=10)
+        threads = threading.active_count()
+        jobs = {label: (lambda label=label: (barrier.wait(), label.value)[1]) for label in (Label.NOVEL, Label.KNOWN)}
+        results = tsetlin.read_banks(jobs)
+        assert list(results.items()) == [(Label.KNOWN, "known"), (Label.NOVEL, "novel")]
+        assert threading.active_count() == threads
+
+    def test_passes_over_both_banks_of_one_file_keep_apart(self, tmp_path, monkeypatch):
+        # One-row blocks and a short switch interval interleave the two passes'
+        # reads of the shared file as finely as the interpreter allows.
+        monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", 2 * 2 * 37)
+        rng = np.random.default_rng(5)
+        model = TMModel.create(small_params(clause_count=400), 37)
+        for bank in model.banks.values():
+            bank.state[...] = rng.integers(1, 17, bank.state.shape)
+        model.save(tmp_path / "model.tm")
+        expected = {label: bank.include_counts() for label, bank in model.banks.items()}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with StoredModel.open(tmp_path / "model.tm") as stored:
+                for _ in range(20):
+                    counts = tsetlin.read_banks({label: bank.include_counts for label, bank in stored.banks.items()})
+                    assert all(np.array_equal(counts[label], expected[label]) for label in expected)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_the_first_bank_in_file_order_reports_its_error(self):
+        # The novel pass fails first; the known pass fails only after it.
+        novel_failed = threading.Event()
+        finished = []
+
+        def known():
+            assert novel_failed.wait(10)
+            finished.append(Label.KNOWN)
+            raise ValueError("known failed")
+
+        def novel():
+            finished.append(Label.NOVEL)
+            novel_failed.set()
+            raise ValueError("novel failed")
+
+        threads = threading.active_count()
+        with pytest.raises(ValueError, match="known failed"):
+            tsetlin.read_banks({Label.KNOWN: known, Label.NOVEL: novel})
+        assert finished == [Label.NOVEL, Label.KNOWN]
+        assert threading.active_count() == threads
 
 
 class TestThreadedFeedback:
@@ -830,8 +896,7 @@ class TestFitMemory:
         assert np.array_equal(bank._packed, pack_bits(include).T)
 
     def test_type_i_gathers_feedback_sized_blocks(self):
-        # The whole bank fits one 8 MiB read block, so only the feedback
-        # budget splits this call's gathers.
+        # Only the feedback budget splits this call's gathers.
         bank, lits = self._bank()
         fired = bank.fired(pack_bits(~lits), EvalMode.LEARNING)
         forget = _bernoulli_positions(bank.state.size, 1 / 25, np.random.default_rng(4))
