@@ -123,22 +123,6 @@ def sigmoid(z: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-z))
 
 
-def logistic_loss_grad(
-    weights: np.ndarray,
-    bias: float,
-    features: np.ndarray,
-    targets: np.ndarray,
-    l2: float,
-) -> tuple[float, np.ndarray, float]:
-    """Mean log-loss with an L2 term on the weights (bias unpenalized), and its gradient."""
-    probs = sigmoid(features @ weights + bias)
-    eps = 1e-15
-    clipped = np.clip(probs, eps, 1.0 - eps)
-    loss = -float(np.mean(targets * np.log(clipped) + (1.0 - targets) * np.log(1.0 - clipped)))
-    loss += 0.5 * l2 * float(weights @ weights)
-    return (loss, *_logistic_grad(probs, weights, features, targets, l2))
-
-
 def _logistic_grad(
     probs: np.ndarray,
     weights: np.ndarray,
@@ -146,7 +130,7 @@ def _logistic_grad(
     targets: np.ndarray,
     l2: float,
 ) -> tuple[np.ndarray, float]:
-    """The gradient of ``logistic_loss_grad``'s loss, given the predicted probabilities: (weights, bias)."""
+    """Gradient of the mean log-loss plus ``l2 / 2 * |weights|^2`` at the predicted probabilities: (weights, bias)."""
     residual = probs - targets
     return features.T @ residual / features.shape[0] + l2 * weights, float(np.mean(residual))
 

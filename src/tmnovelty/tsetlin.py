@@ -29,17 +29,18 @@ writes only that bank's states, so when a bank's states exceed
 bank's next draw waits for its own pending apply, and the epoch-end
 accuracy pass waits for both.  Either way the states are the same bytes.
 
-``TMModel.create`` allocates the model file's image, a header slot followed
-by both banks' states, and the banks' states are views into it: ``save``
-writes the header into the slot and the image straight to disk, and
-``load`` reads the file straight into it; the read stages stream the file
-instead (``StoredModel``).  No full include mask is built: every reader takes
-a bank's include actions a row block at a time (``include_blocks``), each
-block small enough to stay in a core's L2 cache.  A read stage reads both
-banks at once, one thread per bank (``read_banks``), each ``pread``-ing its
-blocks from the held file at their own offsets.  Feedback gathers at most
-``_FEEDBACK_BYTES`` of states per block, since both workers' blocks and the
-draws are live at once; the 1/s positions are built in place.
+States are ``_STATE_DTYPE`` everywhere: in memory, in the file and in every
+read buffer.  ``TMModel.create`` allocates the model file's image, a header
+slot followed by both banks' states, and a model's banks are always views
+into it: ``save`` writes the header into the slot and the image straight to
+disk, and ``load`` reads the file straight into it through ``StoredModel``,
+which the read stages stream instead.  No full include mask is built: every
+reader takes a bank's include actions a row block at a time
+(``include_blocks``), each block small enough to stay in a core's L2 cache.
+A read stage reads both banks at once, one thread per bank (``read_banks``),
+each ``pread``-ing its blocks from the held file at their own offsets.
+Feedback gathers its rows in blocks of the same ``_BLOCK_BYTES`` budget; the
+1/s positions are built in place.
 """
 
 from __future__ import annotations
@@ -65,21 +66,22 @@ _MODEL_VERSION = 1
 _CLASS_ORDER = (Label.KNOWN, Label.NOVEL)  # bank order in the model file
 _PARAM_TYPES = {"clause_count": int, "vote_margin": int, "sensitivity": (int, float), "state_count": int, "seed": int}
 
+# The one type of a TA state, in memory and in the model file.
+_STATE_DTYPE = np.dtype("<i2")
 # Longest header line a model file may have.
 _MAX_HEADER_BYTES = 1 << 16
-# Upper bound on the temporaries of one evaluation or read block: a read
-# block, its include mask and its sums stay in a core's 2 MiB L2 cache.
+# Upper bound on the temporaries of one evaluation, read or feedback block: a
+# read block, its include mask and its sums stay in a core's 2 MiB L2 cache,
+# and each feedback worker's block is live beside the other's and the main
+# thread's draws (8 MiB feedback blocks peaked 36-43 MiB higher on a paper fit).
 _BLOCK_BYTES = 1 << 20
 # Most rows in a block, so that a uint16 column sum of its include bits cannot overflow.
 _UINT16_ROWS = np.iinfo(np.uint16).max
 # Banks whose states take more bytes than this apply feedback on worker
 # threads; below it, thread hand-offs cost more than they save (see README).
 _THREAD_BYTES = 16 << 20
-# States per feedback block: each worker's block is live beside the other's and
-# the main thread's draws; 8 MiB blocks peaked 36-43 MiB higher on a paper fit.
-_FEEDBACK_BYTES = 1 << 20
-# Largest n whose states [1, 2n] plus one Type I step still fit in int16.
-_MAX_STATE_COUNT = (np.iinfo(np.int16).max - 1) // 2
+# Largest n whose states [1, 2n] plus one Type I step still fit in a state.
+_MAX_STATE_COUNT = (np.iinfo(_STATE_DTYPE).max - 1) // 2
 
 
 class Polarity(str, Enum):
@@ -109,10 +111,10 @@ class TMParams:
             raise ValueError("clause_count must be an even integer >= 2")
         if self.vote_margin < 1:
             raise ValueError("vote_margin must be >= 1")
-        if not self.sensitivity > 1.0:
-            raise ValueError("sensitivity must be > 1")
+        if not (math.isfinite(self.sensitivity) and self.sensitivity > 1.0):
+            raise ValueError("sensitivity must be a finite number > 1")
         if not 1 <= self.state_count <= _MAX_STATE_COUNT:
-            raise ValueError(f"state_count must be in [1, {_MAX_STATE_COUNT}] (states are int16)")
+            raise ValueError(f"state_count must be in [1, {_MAX_STATE_COUNT}] (states are {_STATE_DTYPE.name})")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -160,12 +162,12 @@ def _bernoulli_positions(size: int, p: float, rng: np.random.Generator) -> np.nd
 class ClauseBank:
     """TA states for one class's clause pool; first half positive polarity.
 
-    ``state`` is a (clauses, literals) int16 array: allocated here, or the
-    given ``out`` (``TMModel.create`` passes views into the model's file
-    image).  It may be replaced or written in place until the first
-    evaluation builds the packed include view; after that, rows change only
-    through the feedback methods (or ``_write_rows``), which keep the view in
-    step.
+    ``state`` is a read-only attribute holding a (clauses, literals)
+    ``_STATE_DTYPE`` array: allocated here, or the given ``out``
+    (``TMModel.create`` passes views into the model's file image).  It may be
+    written in place, never rebound, until the first evaluation builds the
+    packed include view; after that, rows change only through the feedback
+    methods (or ``_write_rows``), which keep the view in step.
     """
 
     def __init__(
@@ -178,13 +180,16 @@ class ClauseBank:
         self.literal_count = 2 * feature_count
         self.state_count = state_count
         # Exclude side, one step from include: the common starting point.
-        self.state = np.empty((clause_count, self.literal_count), dtype=np.int16) if out is None else out
-        self.state[...] = state_count
+        self._state = np.empty((clause_count, self.literal_count), dtype=_STATE_DTYPE) if out is None else out
+        self._state[...] = state_count
         self.positive_mask = np.zeros(clause_count, dtype=bool)
         self.positive_mask[: clause_count // 2] = True
         self._block_rows = _block_rows(self.literal_count)
-        self._feedback_rows = max(1, _FEEDBACK_BYTES // max(1, self.state.itemsize * self.literal_count))
         self._packed: np.ndarray | None = None  # (words, clauses) packed include bits
+
+    @property
+    def state(self) -> np.ndarray:
+        return self._state
 
     def include_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         """The include mask a block of ``_block_rows`` rows at a time: (first row, block)."""
@@ -270,8 +275,8 @@ class ClauseBank:
         if not rows.size:
             return
         width = self.literal_count
-        for start in range(0, rows.size, self._feedback_rows):
-            part = rows[start : start + self._feedback_rows]
+        for start in range(0, rows.size, self._block_rows):
+            part = rows[start : start + self._block_rows]
             block = self.state[part]
             block[: max(0, fired_rows.size - start)] += literals
             lo, hi = np.searchsorted(forget, (start * width, (start + part.size) * width))
@@ -282,8 +287,8 @@ class ClauseBank:
     def type_ii(self, fired_rows: np.ndarray, literals: np.ndarray) -> None:
         """Nudge every excluded false literal of the given firing rows toward include."""
         false_literals = ~literals
-        for start in range(0, fired_rows.size, self._feedback_rows):
-            part = fired_rows[start : start + self._feedback_rows]
+        for start in range(0, fired_rows.size, self._block_rows):
+            part = fired_rows[start : start + self._block_rows]
             block = self.state[part]
             block += false_literals & (block <= self.state_count)
             self._write_rows(part, block)
@@ -291,70 +296,66 @@ class ClauseBank:
 
 @dataclass
 class TMModel:
-    """Two clause banks (one per document group) plus the shared hyperparameters."""
+    """Two clause banks (one per document group) plus the shared hyperparameters: build one with ``create``."""
 
     params: TMParams
     feature_count: int
     banks: dict[Label, ClauseBank]
-    vocab_hash: str = ""
-    _image: np.ndarray | None = dataclasses.field(default=None, repr=False, compare=False)
+    vocab_hash: str
+    _image: np.ndarray = dataclasses.field(repr=False, compare=False)
 
     @classmethod
     def create(cls, params: TMParams, feature_count: int, vocab_hash: str = "") -> "TMModel":
         """A fresh model whose banks' states are views into one file image.
 
         The image is laid out like the model file: a ``_MAX_HEADER_BYTES``
-        header slot, then every bank's ``<i2`` states in file order, so
-        ``save`` writes it without a staging copy and ``load`` reads into it.
+        header slot, then every bank's states in file order, so ``save``
+        writes it without a staging copy and ``load`` reads into it.  An
+        image too large to allocate raises ValueError.
         """
-        image = _file_image(params.clause_count, feature_count)
-        states = _file_image_states(image, params.clause_count, feature_count)
+        shape = (len(_CLASS_ORDER), params.clause_count, 2 * feature_count)
+        state_bytes = math.prod(shape) * _STATE_DTYPE.itemsize
+        try:
+            image = np.empty(_MAX_HEADER_BYTES + state_bytes, dtype=np.uint8)
+        except MemoryError:
+            raise ValueError(f"{params.clause_count} clauses per class over {feature_count} features need "
+                             f"{state_bytes / 2**30:.1f} GiB of states, more than can be allocated") from None
+        states = image[_MAX_HEADER_BYTES:].view(_STATE_DTYPE).reshape(shape)
         banks = {
             label: ClauseBank(params.clause_count, feature_count, params.state_count, out=states[k])
             for k, label in enumerate(_CLASS_ORDER)
         }
-        return cls(params=params, feature_count=feature_count, banks=banks, vocab_hash=vocab_hash, _image=image)
+        return cls(params, feature_count, banks, vocab_hash, image)
 
     def save(self, path: str | Path) -> None:
-        """Write the model file from the file image.
-
-        The header goes right-aligned into the slot in front of the states;
-        a bank whose ``state`` was replaced is first copied into its place.
-        """
+        """Write the model file from the file image, the header right-aligned in the slot in front of the states."""
         header = {
             "format": _MODEL_FORMAT,
             "version": _MODEL_VERSION,
             "params": dataclasses.asdict(self.params),
             "feature_count": self.feature_count,
             "vocab_hash": self.vocab_hash,
-            "state_dtype": "<i2",
+            "state_dtype": _STATE_DTYPE.str,
             "class_order": [label.value for label in _CLASS_ORDER],
         }
         head = json.dumps(header, sort_keys=True).encode("utf-8") + b"\n"
         if len(head) > _MAX_HEADER_BYTES:
             raise ValueError(f"model header is longer than {_MAX_HEADER_BYTES} bytes")
-        sizes = (self.params.clause_count, self.feature_count)
-        image = self._image if self._image is not None else _file_image(*sizes)
-        states = _file_image_states(image, *sizes)
-        for k, label in enumerate(_CLASS_ORDER):
-            state = self.banks[label].state
-            if state.__array_interface__ != states[k].__array_interface__:
-                states[k] = state
         start = _MAX_HEADER_BYTES - len(head)
-        image[start:_MAX_HEADER_BYTES] = np.frombuffer(head, dtype=np.uint8)
-        atomic_write_bytes(path, memoryview(image[start:]))
+        self._image[start:_MAX_HEADER_BYTES] = np.frombuffer(head, dtype=np.uint8)
+        atomic_write_bytes(path, memoryview(self._image[start:]))
 
     @classmethod
     def load(cls, path: str | Path) -> "TMModel":
-        """Read a model file into ``create``'s file image; a bad header, size or state raises ValueError."""
-        with open(path, "rb") as fh:
-            params, feature_count, vocab_hash = _read_header(fh, path)
-            model = cls.create(params, feature_count, vocab_hash=vocab_hash)
-            offset = fh.tell()
-            for label in _CLASS_ORDER:
-                state = model.banks[label].state
-                _read_states(fh.fileno(), offset, state, label, params.state_count, path)
-                offset += state.nbytes
+        """Read a model file into ``create``'s file image; a bad header, size or state raises ValueError.
+
+        The file is opened as a ``StoredModel`` and each bank read whole, so
+        ``load`` and the read stages refuse the same files alike.
+        """
+        with StoredModel.open(path) as stored:
+            model = cls.create(stored.params, stored.feature_count, vocab_hash=stored.vocab_hash)
+            for label, bank in stored.banks.items():
+                bank.read(model.banks[label].state)
         return model
 
 
@@ -364,22 +365,27 @@ class StoredBank:
     def __init__(self, fh, path: str | Path, params: TMParams, feature_count: int, body: int, k: int) -> None:
         self.clause_count, self.literal_count = params.clause_count, 2 * feature_count
         self.state_count, self._fh, self._path, self._label = params.state_count, fh, path, _CLASS_ORDER[k]
-        self._offset = body + k * 2 * self.clause_count * self.literal_count  # the bank's first state
+        self._row_bytes = self.literal_count * _STATE_DTYPE.itemsize
+        self._offset = body + k * self.clause_count * self._row_bytes  # the bank's first state
         self._block_rows = _block_rows(self.literal_count)
 
-    def include_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """``ClauseBank.include_blocks`` from the file: each block is read into this pass's buffer and checked.
+    def read(self, out: np.ndarray, start: int = 0) -> None:
+        """Fill ``out`` with the checked states of this bank's rows from ``start`` on.
 
-        Blocks are read at their own offsets, never through the file
-        position, so passes over both banks can run at once.  A pass started
-        on a closed file raises rather than read a reused descriptor.
+        Rows are read at their own offset, never through the file position,
+        so passes over both banks can run at once.  The descriptor is taken
+        from the held file at each call, so a read after the file is closed
+        raises rather than read a reused descriptor.
         """
-        fd = self._fh.fileno()
-        buffer = np.empty((min(self._block_rows, self.clause_count), self.literal_count), dtype="<i2")
+        _read_states(self._fh.fileno(), self._offset + start * self._row_bytes, out, self._label, self.state_count,
+                     self._path)
+
+    def include_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
+        """``ClauseBank.include_blocks`` from the file: each block is ``read`` into this pass's buffer."""
+        buffer = np.empty((min(self._block_rows, self.clause_count), self.literal_count), dtype=_STATE_DTYPE)
         for start in range(0, self.clause_count, len(buffer)):
             block = buffer[: self.clause_count - start]
-            _read_states(fd, self._offset + start * buffer[0].nbytes, block, self._label, self.state_count,
-                         self._path)
+            self.read(block, start)
             yield start, block > self.state_count
 
     include_counts = ClauseBank.include_counts
@@ -387,7 +393,7 @@ class StoredBank:
 
 @dataclass
 class StoredModel:
-    """A model file opened read-only, for readers of include actions only: ``with StoredModel.open(path)``.
+    """A model file opened read-only, checked and read a block at a time: ``with StoredModel.open(path)``.
 
     The header is checked on opening and the states stay in the held file,
     so every pass reads the same file, a block at a time, even if its path is
@@ -425,11 +431,11 @@ def _read_header(fh, path: str | Path) -> tuple[TMParams, int, str]:
     params = TMParams(**{k: _header_field(header.get("params"), k, kind, path) for k, kind in _PARAM_TYPES.items()})
     feature_count = _header_field(header, "feature_count", int, path)
     vocab_hash = _header_field(header, "vocab_hash", str, path)
-    if header.get("state_dtype") != "<i2" or header.get("class_order") != [l.value for l in _CLASS_ORDER]:
+    if header.get("state_dtype") != _STATE_DTYPE.str or header.get("class_order") != [l.value for l in _CLASS_ORDER]:
         raise ValueError(f"unsupported state layout in model file: {path}")
     if feature_count < 1:
         raise ValueError(f"model header key 'feature_count' must be >= 1: {path}")
-    body_bytes = 2 * len(_CLASS_ORDER) * params.clause_count * 2 * feature_count
+    body_bytes = len(_CLASS_ORDER) * params.clause_count * 2 * feature_count * _STATE_DTYPE.itemsize
     if os.fstat(fh.fileno()).st_size - len(head) != body_bytes:
         raise ValueError(f"model file is truncated or has trailing bytes: {path}")
     return params, feature_count, vocab_hash
@@ -451,8 +457,8 @@ def read_banks(jobs: Mapping[Label, Callable[[], _Read]]) -> dict[Label, _Read]:
 
 
 def _block_rows(literal_count: int) -> int:
-    """Rows per read block: at most ``_BLOCK_BYTES`` of int16 states, and at most ``_UINT16_ROWS``."""
-    return max(1, min(_UINT16_ROWS, _BLOCK_BYTES // (2 * max(1, literal_count))))
+    """Rows per read or feedback block: at most ``_BLOCK_BYTES`` of states, and at most ``_UINT16_ROWS``."""
+    return max(1, min(_UINT16_ROWS, _BLOCK_BYTES // (_STATE_DTYPE.itemsize * max(1, literal_count))))
 
 
 def _read_states(fd: int, offset: int, out: np.ndarray, label: Label, state_count: int, path: str | Path) -> None:
@@ -470,16 +476,6 @@ def _read_states(fd: int, offset: int, out: np.ndarray, label: Label, state_coun
         done += got
     if out.min() < 1 or out.max() > 2 * state_count:
         raise ValueError(f"{label.value} clause states outside [1, {2 * state_count}] in model file: {path}")
-
-
-def _file_image(clause_count: int, feature_count: int) -> np.ndarray:
-    """An uninitialised model file image: the header slot, then the states."""
-    return np.empty(_MAX_HEADER_BYTES + 2 * len(_CLASS_ORDER) * clause_count * 2 * feature_count, dtype=np.uint8)
-
-
-def _file_image_states(image: np.ndarray, clause_count: int, feature_count: int) -> np.ndarray:
-    """The (banks, clauses, literals) ``<i2`` states of a file image."""
-    return image[_MAX_HEADER_BYTES:].view("<i2").reshape(len(_CLASS_ORDER), clause_count, 2 * feature_count)
 
 
 def _header_field(mapping: object, key: str, kind: type | tuple[type, ...], path: str | Path) -> object:

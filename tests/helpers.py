@@ -3,7 +3,8 @@ model built from any clause list, single-clause forms of the clause bank's
 evaluation and feedback, a bank's full include mask, a per-row clause
 extraction oracle, a clause-list word bag oracle, an allocate-and-concatenate
 oracle for the 1/s positions, single-document forms of classification and
-logistic prediction, and a call's traced allocation peak."""
+logistic prediction, the logistic loss with its gradient, and a call's traced
+allocation peak."""
 
 from __future__ import annotations
 
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from tmnovelty.corpus import Label, Vocabulary
-from tmnovelty.evaluation import LogisticModel
+from tmnovelty.evaluation import LogisticModel, _logistic_grad, sigmoid
 from tmnovelty.novelty import WordBags
 from tmnovelty.tsetlin import (
     ClauseBank,
@@ -224,6 +225,22 @@ def classify(model: TMModel, bits: np.ndarray) -> Label:
 def predict(model: LogisticModel, features: np.ndarray) -> np.ndarray:
     """Hard logistic decisions: True where the fitted probability is at least 0.5."""
     return model.predict_proba(features) >= 0.5
+
+
+def logistic_loss_grad(
+    weights: np.ndarray,
+    bias: float,
+    features: np.ndarray,
+    targets: np.ndarray,
+    l2: float,
+) -> tuple[float, np.ndarray, float]:
+    """Mean log-loss with an L2 term on the weights (bias unpenalized), and the gradient ``fit_logistic`` steps with."""
+    probs = sigmoid(features @ weights + bias)
+    eps = 1e-15
+    clipped = np.clip(probs, eps, 1.0 - eps)
+    loss = -float(np.mean(targets * np.log(clipped) + (1.0 - targets) * np.log(1.0 - clipped)))
+    loss += 0.5 * l2 * float(weights @ weights)
+    return (loss, *_logistic_grad(probs, weights, features, targets, l2))
 
 
 def class_sum(model: TMModel, bits: np.ndarray, label: Label, mode: EvalMode = EvalMode.INFERENCE) -> ClassSum:

@@ -21,7 +21,6 @@ from tmnovelty.evaluation import (
     WordCategory,
     categorize_words,
     cfd,
-    logistic_loss_grad,
     roc_pr,
     score_discrimination,
     train_test_split,
@@ -37,7 +36,14 @@ from tmnovelty.novelty import (
 from synthetic import SyntheticConfig, generate_corpus
 from tmnovelty.tsetlin import ExtractedClause, Polarity, TMModel, TMParams, extract_clauses, fit
 
-from helpers import EXPECTED_BAG_KNOWN, EXPECTED_BAG_NOVEL, case_study_model, case_study_vocab, model_from_clauses
+from helpers import (
+    EXPECTED_BAG_KNOWN,
+    EXPECTED_BAG_NOVEL,
+    case_study_model,
+    case_study_vocab,
+    logistic_loss_grad,
+    model_from_clauses,
+)
 
 SEEDS = range(10)
 DESK = PROFILES["desk"]

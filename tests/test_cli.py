@@ -317,6 +317,37 @@ class TestExitCodes:
         assert "state_count" in one_line_error(capsys)
         assert not (tmp_path / "out" / "model.tm").exists()
 
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_infinite_sensitivity_is_validation_error(self, tmp_path, corpus_dirs, capsys, source):
+        run = small_run(tmp_path, corpus_dirs)
+        assert main(["ingest", *run["ingest"]]) == EXIT_OK
+        capsys.readouterr()
+        config = tmp_path / "run.cfg"
+        config.write_text("sensitivity = inf\n", "utf-8")
+        given = ["--sensitivity", "inf"] if source == "flag" else ["--config", str(config)]
+        code = main(["train", "--clauses", "16", "--epochs", "2", *given, "--out", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        assert "sensitivity must be a finite number > 1" in one_line_error(capsys)
+        assert not (tmp_path / "out" / "model.tm").exists()
+
+    def test_states_too_large_to_allocate_are_validation_error(self, tmp_path, corpus_dirs, capsys, monkeypatch):
+        # The allocation is made to fail; the memory is never asked for.
+        run = small_run(tmp_path, corpus_dirs)
+        assert main(["ingest", *run["ingest"]]) == EXIT_OK
+        capsys.readouterr()
+        real_empty = np.empty
+
+        def empty(shape, *args, **kwargs):
+            if np.prod(shape) > 1 << 30:
+                raise MemoryError("cannot allocate")
+            return real_empty(shape, *args, **kwargs)
+
+        monkeypatch.setattr(np, "empty", empty)
+        code = main(["train", "--clauses", "20000000000", "--epochs", "1", "--out", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        assert re.search(r"20000000000 clauses per class over \d+ features need [\d.]+ GiB", one_line_error(capsys))
+        assert not (tmp_path / "out" / "model.tm").exists()
+
     @pytest.mark.parametrize("bad_bit", ["-1", "vocab_size", "x"])
     def test_train_rejects_bad_bit_index(self, tmp_path, corpus_dirs, capsys, bad_bit):
         run = small_run(tmp_path, corpus_dirs)
@@ -430,6 +461,18 @@ def _case_study_run(out, model=None):
     known = [(f"k{i}", Label.KNOWN, ["cricket", "six", "hit"][: 1 + i % 3]) for i in range(5)]
     novel = [(f"n{i}", Label.NOVEL, ["rugby", "old", "despite"][: 1 + i % 3]) for i in range(5)]
     write_tokens(known + novel, out / "tokens.csv")
+
+
+def test_describe_refuses_a_header_holding_infinity(tmp_path, capsys):
+    out = tmp_path / "out"
+    _case_study_run(out)
+    raw = (out / "model.tm").read_bytes()
+    edited = raw.replace(b'"sensitivity": 3.0', b'"sensitivity": Infinity', 1)
+    assert edited != raw
+    (out / "model.tm").write_bytes(edited)
+    assert main(["describe", "--out", str(out)]) == EXIT_VALIDATION
+    assert "sensitivity must be a finite number > 1" in one_line_error(capsys)
+    assert not (out / "score_table.csv").exists()
 
 
 @pytest.mark.parametrize("stage", READ_STAGES.values(), ids=READ_STAGES.keys())

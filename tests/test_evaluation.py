@@ -13,14 +13,13 @@ from tmnovelty.evaluation import (
     cfd,
     doc_feature_matrix,
     fit_logistic,
-    logistic_loss_grad,
     roc_pr,
     summary_stats,
     train_test_split,
 )
 from tmnovelty.novelty import WordBags, build_word_bags
 
-from helpers import case_study_model, case_study_vocab, predict
+from helpers import case_study_model, case_study_vocab, logistic_loss_grad, predict
 
 
 class TestCategorizeWords:

@@ -54,6 +54,11 @@ def small_params(**overrides) -> TMParams:
 
 
 class TestParams:
+    @pytest.mark.parametrize("sensitivity", [1.0, float("inf"), float("nan")])
+    def test_sensitivity_must_be_finite_and_above_one(self, sensitivity):
+        with pytest.raises(ValueError, match="sensitivity must be a finite number > 1"):
+            small_params(sensitivity=sensitivity)
+
     def test_state_count_must_leave_room_for_one_step_in_int16(self):
         with pytest.raises(ValueError, match="state_count"):
             small_params(state_count=16_384)
@@ -120,7 +125,7 @@ class TestClauseEval:
             features = int(rng.integers(1, 80))
             model = TMModel.create(small_params(clause_count=20, state_count=n_states), features)
             for bank in model.banks.values():
-                bank.state = rng.integers(1, 2 * n_states + 1, size=bank.state.shape).astype(np.int16)
+                bank.state[...] = rng.integers(1, 2 * n_states + 1, size=bank.state.shape).astype(np.int16)
             inputs = rng.random((10, features)) < 0.5
             not_packed = pack_bits(~literal_vector(inputs))
             bank = model.banks[Label.KNOWN]
@@ -147,7 +152,7 @@ class TestClauseEval:
         # A block budget of one document's worth forces one document per block.
         rng = np.random.default_rng(8)
         bank = ClauseBank(6, 70, 4)
-        bank.state = rng.integers(1, 9, size=bank.state.shape).astype(np.int16)
+        bank.state[...] = rng.integers(1, 9, size=bank.state.shape).astype(np.int16)
         not_packed = pack_bits(~literal_vector(rng.random((5, 70)) < 0.5))
         monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", 8 * bank.clause_count)
         stacked = bank.fired(not_packed, EvalMode.LEARNING)
@@ -158,7 +163,6 @@ class TestClauseEval:
         # Interleave evaluation and both feedback types with the packed view
         # live; small feedback blocks exercise the row-block loop.
         monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", 64)
-        monkeypatch.setattr(tsetlin, "_FEEDBACK_BYTES", 64)
         rng = np.random.default_rng(21)
         for _ in range(20):
             features = int(rng.integers(1, 70))
@@ -173,9 +177,8 @@ class TestClauseEval:
             states = []
             for rows in (3, 14):
                 monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", rows * 2 * 2 * features)
-                monkeypatch.setattr(tsetlin, "_FEEDBACK_BYTES", rows * 2 * 2 * features)
                 bank = ClauseBank(14, features, 3)
-                assert bank._block_rows == bank._feedback_rows == rows
+                assert bank._block_rows == rows
                 bank = _random_feedback(bank, np.random.default_rng(features))
                 include = include_mask(bank)
                 assert np.array_equal(bank._packed, pack_bits(include).T)
@@ -185,7 +188,7 @@ class TestClauseEval:
 
 def _random_feedback(bank: ClauseBank, rng: np.random.Generator, steps: int = 30) -> ClauseBank:
     """Random states, then ``steps`` rounds of evaluation and Type I or II feedback."""
-    bank.state = rng.integers(1, 7, size=bank.state.shape).astype(np.int16)
+    bank.state[...] = rng.integers(1, 7, size=bank.state.shape).astype(np.int16)
     for _ in range(steps):
         lits = literal_vector(rng.random(bank.feature_count) < 0.5)
         fired = bank.fired(pack_bits(~lits), EvalMode.LEARNING)
@@ -261,7 +264,7 @@ class TestClassify:
             model = TMModel.create(small_params(clause_count=10, state_count=3), 5)
             for label in (Label.KNOWN, Label.NOVEL):
                 bank = model.banks[label]
-                bank.state = rng.integers(1, 7, size=bank.state.shape).astype(np.int16)
+                bank.state[...] = rng.integers(1, 7, size=bank.state.shape).astype(np.int16)
             x = rng.random(5) < 0.5
             diff = class_sum(model, x, Label.NOVEL).raw - class_sum(model, x, Label.KNOWN).raw
             assert (classify(model, x) is Label.NOVEL) == (diff > 0)
@@ -610,14 +613,36 @@ class TestModelPersistence:
         with pytest.raises(ValueError, match="ended before"):
             TMModel.load(path)
 
-    def test_save_writes_replaced_bank_states(self, tmp_path):
+    def test_bank_states_cannot_be_rebound(self):
+        # A bank's states are a view of the model's file image; replacing them would leave the image behind.
+        bank = case_study_model().banks[Label.NOVEL]
+        with pytest.raises(AttributeError):
+            bank.state = np.ones_like(bank.state)
+
+    def test_save_writes_states_written_in_place(self, tmp_path):
         model = case_study_model()
         replacement = np.random.default_rng(2).integers(1, 17, size=model.banks[Label.NOVEL].state.shape)
-        model.banks[Label.NOVEL].state = replacement.astype(np.int16)
+        model.banks[Label.NOVEL].state[...] = replacement
         model.save(tmp_path / "model.tm")
         loaded = TMModel.load(tmp_path / "model.tm")
         assert np.array_equal(loaded.banks[Label.NOVEL].state, replacement)
         assert np.array_equal(loaded.banks[Label.KNOWN].state, case_study_model().banks[Label.KNOWN].state)
+
+    def test_load_reads_each_bank_once_through_the_stored_bank(self, tmp_path, monkeypatch):
+        model = case_study_model()
+        model.save(tmp_path / "model.tm")
+        reads = []
+        real_read = tsetlin.StoredBank.read
+
+        def spy(bank, out, start=0):
+            reads.append((bank._label, out.shape, start))
+            real_read(bank, out, start)
+
+        monkeypatch.setattr(tsetlin.StoredBank, "read", spy)
+        loaded = TMModel.load(tmp_path / "model.tm")
+        assert reads == [(label, model.banks[label].state.shape, 0) for label in (Label.KNOWN, Label.NOVEL)]
+        for label in (Label.KNOWN, Label.NOVEL):
+            assert np.array_equal(loaded.banks[label].state, model.banks[label].state)
 
     def test_save_writes_exactly_the_file_bytes(self, tmp_path, monkeypatch):
         # One buffer goes to the writer, header and states, and nothing more.
@@ -736,6 +761,16 @@ class TestStoredModel:
             handle = stored.banks[Label.KNOWN]._fh
             assert not handle.closed
         assert handle.closed
+
+    def test_a_file_closed_in_the_middle_of_a_pass_raises_at_the_next_block(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", 2 * 2 * 2 * 10)  # two of four rows per block
+        case_study_model().save(tmp_path / "model.tm")
+        with StoredModel.open(tmp_path / "model.tm") as stored:
+            blocks = stored.banks[Label.NOVEL].include_blocks()
+            assert next(blocks)[0] == 0
+            stored.banks[Label.NOVEL]._fh.close()
+            with pytest.raises(ValueError, match="closed file"):
+                next(blocks)
 
 
 def _random_docs(seed: int, count: int, features: int, density: float = 0.05) -> list[BoolDoc]:
@@ -896,10 +931,10 @@ class TestFitMemory:
         assert np.array_equal(bank._packed, pack_bits(include).T)
 
     def test_type_i_gathers_feedback_sized_blocks(self):
-        # Only the feedback budget splits this call's gathers.
+        # Only the block budget splits this call's gathers.
         bank, lits = self._bank()
         fired = bank.fired(pack_bits(~lits), EvalMode.LEARNING)
         forget = _bernoulli_positions(bank.state.size, 1 / 25, np.random.default_rng(4))
         rows = np.arange(bank.clause_count)
         peak = traced_peak(lambda: bank.type_i(rows[fired], rows[~fired], lits, forget))
-        assert peak < 4 * tsetlin._FEEDBACK_BYTES
+        assert peak < 4 * tsetlin._BLOCK_BYTES
