@@ -135,7 +135,7 @@ def _read_vocab(outdir: Path) -> corpus_mod.Vocabulary:
 @contextmanager
 def _read_model(outdir: Path, vocab: corpus_mod.Vocabulary) -> Iterator[tsetlin.StoredModel]:
     with tsetlin.StoredModel.open(_require(outdir / "model.tm", "model")) as model:
-        if model.vocab_hash and model.vocab_hash != vocab.sha256():
+        if model.vocab_hash != vocab.sha256():
             raise ValueError("vocabulary hash mismatch between model and corpus")
         yield model
 

@@ -35,12 +35,12 @@ class RunConfig:
     stemming: bool = True
     min_df: int = 1
     max_features: int | None = None
-    # Machine hyperparameters (full-scale defaults).
-    clauses: int = 10_000
-    vote_margin: int = 50
-    sensitivity: float = 25.0
-    state_count: int = 128
-    epochs: int = 100
+    # Machine hyperparameters: the full profile by default.
+    clauses: int = PROFILES["full"]["clauses"]
+    vote_margin: int = PROFILES["full"]["vote_margin"]
+    sensitivity: float = PROFILES["full"]["sensitivity"]
+    state_count: int = TMParams.state_count
+    epochs: int = PROFILES["full"]["epochs"]
     seed: int = 0
     # Output.
     output_dir: str = "out"

@@ -331,7 +331,7 @@ def read_tokens(path: str | Path) -> list[tuple[str, Label, list[str]]]:
 
 
 def _csv_rows(path: str | Path, columns: Sequence[str]) -> Iterator[dict[str, str]]:
-    """Rows of a CSV file whose header names every given column; each row has the header's width.
+    """Rows of a CSV file whose header names every given column once; each row has the header's width.
 
     Fields may be of any length: a long document's token list is one field.  A
     leading byte-order mark, as spreadsheet exports write it, is dropped.  A
@@ -349,6 +349,9 @@ def _csv_rows(path: str | Path, columns: Sequence[str]) -> Iterator[dict[str, st
             missing = [c for c in columns if c not in header]
             if missing:
                 raise ValueError(f"{name}: header lacks column(s) {', '.join(missing)}")
+            repeated = [c for c in columns if header.count(c) > 1]
+            if repeated:
+                raise ValueError(f"{name}: header repeats column(s) {', '.join(repeated)}")
             line = reader.line_num + 1
             for fields in reader:
                 if fields:  # a blank line holds no row

@@ -100,9 +100,9 @@ class EvalMode(Enum):
 class TMParams:
     """Hyperparameters: clause pool size, vote margin, sensitivity, automaton depth."""
 
-    clause_count: int = 10_000
-    vote_margin: int = 50
-    sensitivity: float = 25.0
+    clause_count: int
+    vote_margin: int
+    sensitivity: float
     state_count: int = 128  # states per action; TA state ranges over [1, 2*state_count]
     seed: int = 0
 
@@ -162,39 +162,31 @@ def _bernoulli_positions(size: int, p: float, rng: np.random.Generator) -> np.nd
 class ClauseBank:
     """TA states for one class's clause pool; first half positive polarity.
 
-    ``state`` is a read-only attribute holding a (clauses, literals)
-    ``_STATE_DTYPE`` array: allocated here, or the given ``out``
-    (``TMModel.create`` passes views into the model's file image).  It may be
-    written in place, never rebound, until the first evaluation builds the
-    packed include view; after that, rows change only through the feedback
-    methods (or ``_write_rows``), which keep the view in step.
+    A bank is a view of its (clauses, literals) block of a model's file
+    image, and only ``TMModel.create`` builds one; the first half of the
+    literals are the features, the second their negations.  ``state`` may be
+    written in place until the first evaluation builds the packed include
+    view; after that it is read-only, and rows change only through the
+    feedback methods (or ``_write_rows``), which keep the view in step.
     """
 
-    def __init__(
-        self, clause_count: int, feature_count: int, state_count: int, out: np.ndarray | None = None
-    ) -> None:
-        if clause_count % 2 != 0:
-            raise ValueError("clause_count must be even")
-        self.clause_count = clause_count
-        self.feature_count = feature_count
-        self.literal_count = 2 * feature_count
+    def __init__(self, states: np.ndarray, state_count: int) -> None:
+        self.clause_count, self.literal_count = states.shape
+        self.feature_count = self.literal_count // 2
         self.state_count = state_count
-        # Exclude side, one step from include: the common starting point.
-        self._state = np.empty((clause_count, self.literal_count), dtype=_STATE_DTYPE) if out is None else out
-        self._state[...] = state_count
-        self.positive_mask = np.zeros(clause_count, dtype=bool)
-        self.positive_mask[: clause_count // 2] = True
+        self._state = states
+        self.positive_mask = np.arange(self.clause_count) < self.clause_count // 2
         self._block_rows = _block_rows(self.literal_count)
         self._packed: np.ndarray | None = None  # (words, clauses) packed include bits
 
     @property
     def state(self) -> np.ndarray:
-        return self._state
+        return self._state if self._packed is None else np.lib.stride_tricks.as_strided(self._state, writeable=False)
 
     def include_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         """The include mask a block of ``_block_rows`` rows at a time: (first row, block)."""
         for start in range(0, self.clause_count, self._block_rows):
-            yield start, self.state[start : start + self._block_rows] > self.state_count
+            yield start, self._state[start : start + self._block_rows] > self.state_count
 
     def include_counts(self, each_block: Callable[[np.ndarray], None] | None = None) -> np.ndarray:
         """(2, literals) counts of the clauses including each literal: positive half, negative half.
@@ -216,7 +208,7 @@ class ClauseBank:
 
     def _write_rows(self, rows: np.ndarray, block: np.ndarray) -> None:
         """Store new states for the given rows and repack just those rows."""
-        self.state[rows] = block
+        self._state[rows] = block
         if self._packed is not None:
             self._packed[:, rows] = pack_bits(block > self.state_count).T
 
@@ -277,7 +269,7 @@ class ClauseBank:
         width = self.literal_count
         for start in range(0, rows.size, self._block_rows):
             part = rows[start : start + self._block_rows]
-            block = self.state[part]
+            block = self._state[part]
             block[: max(0, fired_rows.size - start)] += literals
             lo, hi = np.searchsorted(forget, (start * width, (start + part.size) * width))
             block.reshape(-1)[forget[lo:hi] - start * width] -= 1
@@ -289,7 +281,7 @@ class ClauseBank:
         false_literals = ~literals
         for start in range(0, fired_rows.size, self._block_rows):
             part = fired_rows[start : start + self._block_rows]
-            block = self.state[part]
+            block = self._state[part]
             block += false_literals & (block <= self.state_count)
             self._write_rows(part, block)
 
@@ -306,12 +298,13 @@ class TMModel:
 
     @classmethod
     def create(cls, params: TMParams, feature_count: int, vocab_hash: str = "") -> "TMModel":
-        """A fresh model whose banks' states are views into one file image.
+        """A fresh model whose banks are views into one file image, the one allocation of states.
 
         The image is laid out like the model file: a ``_MAX_HEADER_BYTES``
         header slot, then every bank's states in file order, so ``save``
         writes it without a staging copy and ``load`` reads into it.  An
-        image too large to allocate raises ValueError.
+        image too large to allocate raises ValueError.  The read stages
+        refuse a model whose ``vocab_hash`` is not its vocabulary's.
         """
         shape = (len(_CLASS_ORDER), params.clause_count, 2 * feature_count)
         state_bytes = math.prod(shape) * _STATE_DTYPE.itemsize
@@ -321,10 +314,8 @@ class TMModel:
             raise ValueError(f"{params.clause_count} clauses per class over {feature_count} features need "
                              f"{state_bytes / 2**30:.1f} GiB of states, more than can be allocated") from None
         states = image[_MAX_HEADER_BYTES:].view(_STATE_DTYPE).reshape(shape)
-        banks = {
-            label: ClauseBank(params.clause_count, feature_count, params.state_count, out=states[k])
-            for k, label in enumerate(_CLASS_ORDER)
-        }
+        states[...] = params.state_count  # exclude side, one step from include: the common start
+        banks = {label: ClauseBank(states[k], params.state_count) for k, label in enumerate(_CLASS_ORDER)}
         return cls(params, feature_count, banks, vocab_hash, image)
 
     def save(self, path: str | Path) -> None:

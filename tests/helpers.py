@@ -1,10 +1,10 @@
 """Shared fixtures: the sports case-study clauses, a hand-set model and a
-model built from any clause list, single-clause forms of the clause bank's
-evaluation and feedback, a bank's full include mask, a per-row clause
-extraction oracle, a clause-list word bag oracle, an allocate-and-concatenate
-oracle for the 1/s positions, single-document forms of classification and
-logistic prediction, the logistic loss with its gradient, and a call's traced
-allocation peak."""
+model built from any clause list, a bank on its own, single-clause forms of
+the clause bank's evaluation and feedback, a bank's full include mask, a
+per-row clause extraction oracle, a clause-list word bag oracle, an
+allocate-and-concatenate oracle for the 1/s positions, single-document forms
+of classification and logistic prediction, the logistic loss with its
+gradient, and a call's traced allocation peak."""
 
 from __future__ import annotations
 
@@ -77,6 +77,12 @@ EXPECTED_BAG_NOVEL = {
     "despite": 1,
     "ball": 1,
 }
+
+
+def clause_bank(clause_count: int, feature_count: int, state_count: int) -> ClauseBank:
+    """A fresh bank on its own: the known bank of a model built by ``TMModel.create``."""
+    params = TMParams(clause_count=clause_count, vote_margin=1, sensitivity=2.0, state_count=state_count)
+    return TMModel.create(params, feature_count).banks[Label.KNOWN]
 
 
 def set_clause(bank: ClauseBank, index: int, plain: Sequence[int] = (), negated: Sequence[int] = ()) -> None:

@@ -213,6 +213,29 @@ class TestMalformedCsv:
         assert one_line_error(capsys) == f"error: tokens.csv line 14: {problem}\n"
         assert not (out / "tfidf.csv").exists()
 
+    def test_corpus_header_repeating_a_column(self, tmp_path, capsys):
+        # Read as a dict, the last 'label' column would win and swap the classes.
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("doc_id,label,text,label\nd0,novel,rugby old ball,known\nd1,known,cricket bat,novel\n", "utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--csv-path", str(corpus), "--out", str(out)]) == EXIT_VALIDATION
+        assert one_line_error(capsys) == "error: corpus.csv: header repeats column(s) label\n"
+        assert [p.name for p in out.iterdir()] == [".lock"]
+
+    @pytest.mark.parametrize(
+        "name,stage,product",
+        [("tokens.csv", "tfidf", "tfidf.csv"), ("booldocs.csv", "train", "model.tm")],
+        ids=["tokens", "booldocs"],
+    )
+    def test_stage_header_repeating_a_column(self, tmp_path, corpus_dirs, capsys, name, stage, product):
+        out = self.ingested(tmp_path, corpus_dirs, capsys)
+        header, *rows = (out / name).read_text("utf-8").splitlines()
+        (out / name).write_text("\n".join([header + ",doc_id", *(row + ",x" for row in rows)]) + "\n", "utf-8")
+        argv = [stage, *(TRAIN_PARAMS if stage == "train" else []), "--out", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        assert one_line_error(capsys) == f"error: {name}: header repeats column(s) doc_id\n"
+        assert not (out / product).exists()
+
     def test_vocabulary_repeating_a_word(self, tmp_path, corpus_dirs, capsys):
         out = self.ingested(tmp_path, corpus_dirs, capsys)
         vocabulary = out / "vocabulary.txt"
@@ -686,16 +709,21 @@ def _unhashed_model_with_vocabulary(out, words):
     write_tokens(token_docs, out / "tokens.csv")
 
 
-@pytest.mark.parametrize("words", [CASE_STUDY_WORDS[:-1], (*CASE_STUDY_WORDS, "zebra")], ids=["fewer", "more"])
+@pytest.mark.parametrize(
+    "words", [CASE_STUDY_WORDS, CASE_STUDY_WORDS[:-1], (*CASE_STUDY_WORDS, "zebra")], ids=["same", "fewer", "more"]
+)
 @pytest.mark.parametrize(
     "stage", [["describe"], ["context", "--words", "rugby,cricket"], ["eval"]], ids=["describe", "context", "eval"]
 )
-def test_feature_count_is_checked_without_vocab_hash(tmp_path, capsys, words, stage):
+def test_unbound_model_is_refused(tmp_path, capsys, words, stage):
+    # Without its vocabulary's hash, a model would score any vocabulary of its size.
     out = tmp_path / "out"
     out.mkdir()
     _unhashed_model_with_vocabulary(out, words)
+    before = sorted(p.name for p in out.iterdir())
     assert main([*stage, "--out", str(out)]) == EXIT_VALIDATION
-    assert "vocabulary size != model feature count" in one_line_error(capsys)
+    assert one_line_error(capsys) == "error: vocabulary hash mismatch between model and corpus\n"
+    assert sorted(p.name for p in out.iterdir()) == sorted([*before, ".lock"])
 
 
 def _drop_column(text, column):

@@ -32,6 +32,7 @@ from helpers import (
     case_study_vocab,
     class_sum,
     classify,
+    clause_bank,
     clause_eval,
     extract_clauses_by_row,
     include_mask,
@@ -64,7 +65,7 @@ class TestParams:
             small_params(state_count=16_384)
         # At the largest allowed depth, a reinforced top state stays on top.
         n = small_params(state_count=16_383).state_count
-        bank = ClauseBank(2, 1, n)
+        bank = clause_bank(2, 1, n)
         bank.state[0] = [2 * n, 1]
         forget = _bernoulli_positions(bank.literal_count, 1 / 1e12, np.random.default_rng(0))
         bank.type_i(np.array([0]), np.empty(0, dtype=np.int64), literal_vector(bits(True)), forget)
@@ -94,26 +95,39 @@ class TestPackBits:
 
 class TestClauseEval:
     def test_conjunction_fires_when_all_literals_true(self):
-        bank = ClauseBank(2, 2, 8)
+        bank = clause_bank(2, 2, 8)
         set_clause(bank, 0, plain=[0, 1])
         assert clause_eval(bank, 0, bits(True, True), EvalMode.INFERENCE) is True
         assert clause_eval(bank, 0, bits(True, False), EvalMode.INFERENCE) is False
 
     def test_negated_literal(self):
-        bank = ClauseBank(2, 1, 8)
+        bank = clause_bank(2, 1, 8)
         set_clause(bank, 0, negated=[0])
         assert clause_eval(bank, 0, bits(True), EvalMode.INFERENCE) is False
         assert clause_eval(bank, 0, bits(False), EvalMode.INFERENCE) is True
 
     def test_empty_clause_mode_split(self):
-        bank = ClauseBank(2, 2, 8)  # fresh bank: no includes anywhere
+        bank = clause_bank(2, 2, 8)  # fresh bank: no includes anywhere
         assert clause_eval(bank, 0, bits(True, False), EvalMode.LEARNING) is True
         assert clause_eval(bank, 0, bits(True, False), EvalMode.INFERENCE) is False
 
     def test_width_mismatch_raises(self):
-        bank = ClauseBank(2, 2, 8)
+        bank = clause_bank(2, 2, 8)
         with pytest.raises(ValueError, match="width"):
             clause_eval(bank, 0, bits(True), EvalMode.INFERENCE)
+
+    def test_states_are_read_only_once_the_view_is_built(self):
+        # An in-place write after the first evaluation would leave the packed view stale.
+        bank = clause_bank(2, 2, 8)
+        set_clause(bank, 0, plain=[0])
+        assert clause_eval(bank, 0, bits(True, False), EvalMode.INFERENCE) is True
+        with pytest.raises(ValueError, match="read-only"):
+            bank.state[0, 1] = 2 * bank.state_count  # include x2, false on the input
+        set_clause(bank, 0, plain=[0, 1])  # through _write_rows, which keeps the view in step
+        assert clause_eval(bank, 0, bits(True, False), EvalMode.INFERENCE) is False
+        fresh = clause_bank(2, 2, 8)
+        fresh.state[...] = bank.state
+        assert clause_eval(fresh, 0, bits(True, False), EvalMode.INFERENCE) is False
 
     def test_packed_matches_naive_loop_on_random_pairs(self):
         # 10_000 random (clause, input) pairs: fired on one input, fired on a
@@ -151,7 +165,7 @@ class TestClauseEval:
     def test_stack_evaluation_in_blocks_matches_single_inputs(self, monkeypatch):
         # A block budget of one document's worth forces one document per block.
         rng = np.random.default_rng(8)
-        bank = ClauseBank(6, 70, 4)
+        bank = clause_bank(6, 70, 4)
         bank.state[...] = rng.integers(1, 9, size=bank.state.shape).astype(np.int16)
         not_packed = pack_bits(~literal_vector(rng.random((5, 70)) < 0.5))
         monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", 8 * bank.clause_count)
@@ -166,7 +180,7 @@ class TestClauseEval:
         rng = np.random.default_rng(21)
         for _ in range(20):
             features = int(rng.integers(1, 70))
-            bank = _random_feedback(ClauseBank(12, features, 3), rng)
+            bank = _random_feedback(clause_bank(12, features, 3), rng)
             include = bank.state > bank.state_count
             assert np.array_equal(bank._packed, pack_bits(include).T)
         # Budgets of three rows over 14 clauses: the view is built, and the
@@ -177,7 +191,7 @@ class TestClauseEval:
             states = []
             for rows in (3, 14):
                 monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", rows * 2 * 2 * features)
-                bank = ClauseBank(14, features, 3)
+                bank = clause_bank(14, features, 3)
                 assert bank._block_rows == rows
                 bank = _random_feedback(bank, np.random.default_rng(features))
                 include = include_mask(bank)
@@ -274,14 +288,14 @@ class TestClassify:
 class TestTypeIFeedback:
     def test_large_sensitivity_limit(self):
         # s -> inf: true literals reinforced, false literals untouched.
-        bank = ClauseBank(2, 2, 8)
+        bank = clause_bank(2, 2, 8)
         rng = np.random.default_rng(0)
         type_i_feedback(bank, 0, bits(True, False), 1e12, rng)
         # literals: [x1, x2, ~x1, ~x2]; true ones are x1 and ~x2.
         assert bank.state[0].tolist() == [9, 8, 8, 9]
 
     def test_saturation_at_lower_bound(self):
-        bank = ClauseBank(2, 2, 1)
+        bank = clause_bank(2, 2, 1)
         bank.state[:] = 1
         # Clause includes nothing -> fires in learning; but force the silent
         # branch by including a literal false on the input.
@@ -298,7 +312,7 @@ class TestTypeIFeedback:
         # literal moves down with frequency 1/s.
         n = 100_000
         s = 5.0
-        bank = ClauseBank(n, 2, 8)  # fresh: all empty -> all fire in learning
+        bank = clause_bank(n, 2, 8)  # fresh: all empty -> all fire in learning
         rng = np.random.default_rng(123)
         lits = literal_vector(bits(True, False))
         forget = _bernoulli_positions(n * bank.literal_count, 1 / s, rng)
@@ -311,7 +325,7 @@ class TestTypeIFeedback:
     def test_silent_clause_decays_all_literals(self):
         n = 100_000
         s = 4.0
-        bank = ClauseBank(n, 1, 8)
+        bank = clause_bank(n, 1, 8)
         bank.state[:, 0] = 10  # include x1 so clauses are silent on x1=0
         rng = np.random.default_rng(5)
         lits = literal_vector(bits(False))
@@ -352,7 +366,7 @@ class TestTypeIFeedback:
         # Input (1, 0): literals [x1, x2, ~x1, ~x2] are true, false, false,
         # true.  Rows 0..n-1 fire, rows n..2n-1 are silent.
         n = 50_000
-        bank = ClauseBank(2 * n, 2, 8)
+        bank = clause_bank(2 * n, 2, 8)
         bank.state[:] = [16, 1, 8, 8]
         forget = _bernoulli_positions(2 * n * bank.literal_count, 1 / s, np.random.default_rng(17))
         bank.type_i(np.arange(n), np.arange(n, 2 * n), literal_vector(bits(True, False)), forget)
@@ -374,12 +388,12 @@ class TestTypeIFeedback:
 class TestTypeIIFeedback:
     def test_empty_clause_nudges_false_literals(self):
         # Literals on x=(1,0): x1=1, x2=0, ~x1=0, ~x2=1; the zeros are x2 and ~x1.
-        bank = ClauseBank(2, 2, 8)
+        bank = clause_bank(2, 2, 8)
         type_ii_feedback(bank, 0, bits(True, False))
         assert bank.state[0].tolist() == [8, 9, 9, 8]
 
     def test_true_literals_untouched(self):
-        bank = ClauseBank(2, 2, 8)
+        bank = clause_bank(2, 2, 8)
         set_clause(bank, 0, plain=[0])
         before = bank.state[0].copy()
         type_ii_feedback(bank, 0, bits(True, True))
@@ -389,7 +403,7 @@ class TestTypeIIFeedback:
         assert np.array_equal(after[lits], before[lits])
 
     def test_non_firing_clause_rejected(self):
-        bank = ClauseBank(2, 2, 8)
+        bank = clause_bank(2, 2, 8)
         set_clause(bank, 0, plain=[1])  # includes x2, false on input
         with pytest.raises(ValueError, match="firing"):
             type_ii_feedback(bank, 0, bits(True, False))
@@ -401,7 +415,7 @@ class TestTypeIIFeedback:
             features = int(rng.integers(1, 8))
             x = rng.random(features) < 0.5
             lits = literal_vector(x)
-            bank = ClauseBank(2, features, n_states)
+            bank = clause_bank(2, features, n_states)
             # Random clause that fires on x: includes drawn from true literals only.
             state = rng.integers(1, n_states + 1, size=2 * features)
             true_idx = np.flatnonzero(lits)
@@ -917,7 +931,7 @@ class TestFitMemory:
     def _bank() -> tuple[ClauseBank, np.ndarray]:
         # 512 clauses of 4 096 literals: 4 MiB of int16 states.
         rng = np.random.default_rng(3)
-        bank = ClauseBank(512, 2_048, 8)
+        bank = clause_bank(512, 2_048, 8)
         bank.state[...] = rng.integers(1, 17, size=bank.state.shape)
         return bank, literal_vector(rng.random(bank.feature_count) < 0.5)
 
