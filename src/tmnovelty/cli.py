@@ -23,6 +23,7 @@ import dataclasses
 import fcntl
 import os
 import sys
+from collections import Counter
 from collections.abc import Callable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
@@ -140,9 +141,9 @@ def _read_model(outdir: Path, vocab: corpus_mod.Vocabulary) -> Iterator[tsetlin.
         yield model
 
 
-def _score_table(vocab: corpus_mod.Vocabulary, model: tsetlin.StoredModel, counted: dict | None = None):
-    """Bags and scores, reading the banks not in ``counted``; a bad state stops a stage before it writes."""
-    bags = novelty.build_word_bags(model, vocab, counted)
+def _score_table(vocab: corpus_mod.Vocabulary, model: tsetlin.StoredModel):
+    """Bags and scores; a bad state stops a stage before it writes."""
+    bags = novelty.build_word_bags(model, vocab)
     return bags, novelty.novelty_scores(bags)
 
 
@@ -177,7 +178,13 @@ def cmd_train(config: RunConfig) -> None:
     outdir = Path(config.output_dir)
     vocab = _read_vocab(outdir)
     docs = corpus_mod.read_booldocs(_require(outdir / "booldocs.csv", "boolean documents"), len(vocab))
-    model = tsetlin.TMModel.create(config.tm_params(), len(vocab), vocab_hash=vocab.sha256())
+    params = config.tm_params()
+    # An ingest stopped between its writes leaves files of two runs side by side.
+    token_docs = corpus_mod.read_tokens(_require(outdir / "tokens.csv", "token table"))
+    ingested = [(doc_id, label, corpus_mod.booleanize(tokens, vocab).tobytes()) for doc_id, label, tokens in token_docs]
+    if [(d.doc_id, d.label, d.bits.tobytes()) for d in docs] != ingested:
+        raise ValueError("booldocs.csv does not match tokens.csv and vocabulary.txt (re-run ingest)")
+    model = tsetlin.TMModel.create(params, len(vocab), vocab_hash=vocab.sha256())
     model, trace = tsetlin.fit(model, docs, epochs=config.epochs)
     model.save(outdir / "model.tm")
     tsetlin.write_clause_dump(tsetlin.extract_clauses(model, vocab), outdir / "clauses.csv")
@@ -199,17 +206,15 @@ def cmd_context(config: RunConfig, word_list: str, target_class: Label) -> None:
     words = [w for w in word_list.split(",") if w]
     if not words:
         raise ValueError("--words names no word")
+    repeated = [w for w, n in Counter(words).items() if n > 1]
+    if repeated:
+        raise ValueError(f"--words repeats the word(s) {', '.join(repeated)}")
     outdir = Path(config.output_dir)
     vocab = _read_vocab(outdir)
     with _read_model(outdir, vocab) as model:
         _refuse_unscored(words, vocab)
-        # One pass over each bank, both at once: the target bank's counts the
-        # pairs and its include actions, the other bank's its include actions.
-        jobs = {label: bank.include_counts for label, bank in model.banks.items()}
-        jobs[target_class] = lambda: novelty.word_pair_counts(model, target_class, words, vocab)
-        counted = tsetlin.read_banks(jobs)
-        co = counted[target_class]
-        _, table = _score_table(vocab, model, {**counted, target_class: co.include_counts})
+        co, bags = novelty.word_pair_counts(model, target_class, words, vocab)
+        table = novelty.novelty_scores(bags)
         _refuse_unscored(words, table)
     path = outdir / f"context_{target_class.value}.csv"
     novelty.write_cooccurrence_matrix(co, table, words, path)

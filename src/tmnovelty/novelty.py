@@ -16,16 +16,16 @@ logistic document features.  The logs are taken once per distinct score
 co-occurrence probability by the product of the two words' bag
 frequencies, exposing words that the clauses treat as one context.  The
 pair counts, too, come from the include actions with no clause objects,
-counting only the requested words, in the same pass over the target bank
-that yields its include counts for the bags, so ``context`` reads each
-bank once, both at once.
+counting only the requested words: ``word_pair_counts`` takes them and the
+bags from one ``include_counts`` read, so every read stage reads each bank
+once, both at once.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from pathlib import Path
@@ -35,7 +35,7 @@ import numpy as np
 
 from ._files import write_csv
 from .corpus import Label, Vocabulary
-from .tsetlin import ExtractedClause, StoredModel, TMModel, read_banks
+from .tsetlin import ExtractedClause, StoredModel, TMModel, include_counts
 
 
 @dataclass(frozen=True)
@@ -57,30 +57,26 @@ class WordBags:
         return sorted(set(self.known) | set(self.novel))
 
 
-def build_word_bags(
-    model: TMModel | StoredModel,
-    vocab: Vocabulary,
-    counted: Mapping[Label, np.ndarray] | None = None,
-) -> WordBags:
+def build_word_bags(model: TMModel | StoredModel, vocab: Vocabulary) -> WordBags:
     """Route every clause's included words into the known/novel bags with multiplicity.
 
     Plain words of a clause describe the group the clause votes for; negated
     words describe the other group.  An against-vote (negative polarity)
     flips the destination.  Each clause membership counts once, so the bags
-    are sums of the banks' per-literal include counts (``include_counts``).
-    ``counted`` holds the counts of banks the caller has read already
-    (``WordPairCounts.include_counts``); every other bank is read here, all
-    of them at once (``read_banks``).
+    are sums of the banks' per-literal include counts, read from both banks
+    at once (``include_counts``).
     """
     if len(vocab) != model.feature_count:
         raise ValueError("vocabulary size != model feature count")
-    counted = counted or {}
-    unread = {label: bank.include_counts for label, bank in model.banks.items() if label not in counted}
-    counted = {**counted, **read_banks(unread)}
-    o = model.feature_count
+    return _route(include_counts(model), vocab)
+
+
+def _route(counted: Mapping[Label, tuple[np.ndarray, np.ndarray]], vocab: Vocabulary) -> WordBags:
+    """The word bags of ``include_counts``' per-bank include counts."""
+    o = len(vocab)
     bags = np.zeros((2, o), dtype=np.int64)  # known, novel
     for k, label in enumerate((Label.KNOWN, Label.NOVEL)):
-        for_votes, against_votes = counted[label]
+        (for_votes, against_votes), _ = counted[label]
         bags[k] += for_votes[:o] + against_votes[o:]
         bags[1 - k] += for_votes[o:] + against_votes[:o]
     known, novel = ({w: c for w, c in zip(vocab.words, bag.tolist()) if c} for bag in bags)
@@ -200,14 +196,8 @@ def cooccurrence(
     )
 
 
-@dataclass(frozen=True)
 class WordPairCounts(ClauseCooccurrence):
-    """Counts of the requested words only: any other word raises KeyError rather than reading as 0.
-
-    ``include_counts`` is the bank's ``include_counts``, read in the same pass.
-    """
-
-    include_counts: np.ndarray = field(repr=False, compare=False)
+    """Counts of the requested words only: any other word raises KeyError rather than reading as 0."""
 
     def pair_count(self, w1: str, w2: str) -> int:
         for word in (w1, w2):
@@ -221,33 +211,26 @@ def word_pair_counts(
     label: Label,
     words: Sequence[str],
     vocab: Vocabulary,
-) -> WordPairCounts:
-    """``cooccurrence`` of ``label``'s clauses, restricted to the given words, and the bank's include counts.
+) -> tuple[WordPairCounts, WordBags]:
+    """``cooccurrence`` of ``label``'s clauses, restricted to the given words, and the word bags.
 
-    One pass over the bank gives both.  Each row block's plain columns of
-    the words form a clause x word matrix M; M.T @ M, summed over the
-    blocks, holds each word's clause count on its diagonal and each pair's
-    count off it.  ``clause_count`` is the bank's pool size.
+    One read of both banks gives both (``include_counts``).  Each row block's
+    plain columns of the words form a clause x word matrix M; M.T @ M,
+    summed over the blocks, holds each word's clause count on its diagonal
+    and each pair's count off it.  ``clause_count`` is the bank's pool size.
     """
     if len(vocab) != model.feature_count:
         raise ValueError("vocabulary size != model feature count")
     words = sorted(set(words))
-    columns = [vocab.index_of[w] for w in words]
-    counts = np.zeros((len(words), len(words)), dtype=np.int64)
-
-    def count_pairs(include: np.ndarray) -> None:
-        m = include[:, columns].astype(np.int64)
-        counts[...] += m.T @ m
-
-    include_counts = model.banks[label].include_counts(count_pairs)
-    pairs = counts.tolist()
-    return WordPairCounts(
+    counted = include_counts(model, {label: [vocab.index_of[w] for w in words]})
+    pairs = counted[label][1].tolist()
+    co = WordPairCounts(
         label=label,
         pair_counts={(w1, w2): pairs[i][j] for (i, w1), (j, w2) in combinations(enumerate(words), 2)},
         word_counts={w: pairs[i][i] for i, w in enumerate(words)},
         clause_count=model.params.clause_count,
-        include_counts=include_counts,
     )
+    return co, _route(counted, vocab)
 
 
 def contextual_score(

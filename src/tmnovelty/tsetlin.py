@@ -37,8 +37,9 @@ disk, and ``load`` reads the file straight into it through ``StoredModel``,
 which the read stages stream instead.  No full include mask is built: every
 reader takes a bank's include actions a row block at a time
 (``include_blocks``), each block small enough to stay in a core's L2 cache.
-A read stage reads both banks at once, one thread per bank (``read_banks``),
-each ``pread``-ing its blocks from the held file at their own offsets.
+A read stage counts both banks at once, one thread per bank
+(``include_counts``), each ``pread``-ing its blocks from the held file at
+their own offsets.
 Feedback gathers its rows in blocks of the same ``_BLOCK_BYTES`` budget; the
 1/s positions are built in place.
 """
@@ -54,7 +55,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -187,24 +188,6 @@ class ClauseBank:
         """The include mask a block of ``_block_rows`` rows at a time: (first row, block)."""
         for start in range(0, self.clause_count, self._block_rows):
             yield start, self._state[start : start + self._block_rows] > self.state_count
-
-    def include_counts(self, each_block: Callable[[np.ndarray], None] | None = None) -> np.ndarray:
-        """(2, literals) counts of the clauses including each literal: positive half, negative half.
-
-        ``each_block``, when given, is called with every include block too, so
-        a caller can take more from the same pass.
-        """
-        half = self.clause_count // 2
-        counts = np.zeros((2, self.literal_count), dtype=np.int64)
-        for start, include in self.include_blocks():
-            if each_block is not None:
-                each_block(include)
-            cut = min(max(half - start, 0), len(include))
-            for k, part in enumerate((include[:cut], include[cut:])):
-                # The bool bytes summed in uint16 take about half the time of an
-                # int32 sum; a block has at most 2**16 - 1 rows, so it cannot overflow.
-                counts[k] += np.add.reduce(part.view(np.uint8), axis=0, dtype=np.uint16)
-        return counts
 
     def _write_rows(self, rows: np.ndarray, block: np.ndarray) -> None:
         """Store new states for the given rows and repack just those rows."""
@@ -379,8 +362,6 @@ class StoredBank:
             self.read(block, start)
             yield start, block > self.state_count
 
-    include_counts = ClauseBank.include_counts
-
 
 @dataclass
 class StoredModel:
@@ -389,7 +370,7 @@ class StoredModel:
     The header is checked on opening and the states stay in the held file,
     so every pass reads the same file, a block at a time, even if its path is
     replaced meanwhile.  Every pass must end inside the ``with``, which
-    closes the file: ``read_banks`` returns only when its passes have.
+    closes the file: ``include_counts`` returns only when its passes have.
     """
 
     params: TMParams
@@ -432,19 +413,41 @@ def _read_header(fh, path: str | Path) -> tuple[TMParams, int, str]:
     return params, feature_count, vocab_hash
 
 
-_Read = TypeVar("_Read")
+def include_counts(
+    model: TMModel | StoredModel,
+    columns: Mapping[Label, Sequence[int]] | None = None,
+) -> dict[Label, tuple[np.ndarray, np.ndarray]]:
+    """Per bank in file order: its (2, literals) include counts and the (k, k) co-inclusion counts of its ``columns``.
 
-
-def read_banks(jobs: Mapping[Label, Callable[[], _Read]]) -> dict[Label, _Read]:
-    """Run one read pass per bank, each on its own thread, and return their results in file order.
-
-    The threads live only for this call, and every pass has ended when it
-    returns or raises, so none outlives the file it reads.  When passes
-    fail, the error of the first failed bank in file order is raised.
+    The include counts are, per literal, the clauses of the for-vote half and
+    of the against-vote half that include it.  The co-inclusion matrix holds
+    each requested column's clause count on its diagonal and each pair's off
+    it (0 x 0 for a bank with none requested).  One pass per bank, each on its
+    own thread for the length of the call, so none outlives the file it
+    reads; when passes fail, the error of the first failed bank in file order
+    is raised.
     """
-    with ThreadPoolExecutor(len(jobs) or 1, thread_name_prefix="tmnovelty-read") as pool:
-        futures = {label: pool.submit(job) for label, job in jobs.items()}
-    return {label: futures[label].result() for label in _CLASS_ORDER if label in futures}
+    with ThreadPoolExecutor(len(_CLASS_ORDER), thread_name_prefix="tmnovelty-read") as pool:
+        futures = {label: pool.submit(_count_bank, model.banks[label], list((columns or {}).get(label, ())))
+                   for label in _CLASS_ORDER}
+    return {label: futures[label].result() for label in _CLASS_ORDER}
+
+
+def _count_bank(bank: ClauseBank | StoredBank, columns: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """One pass over a bank's include blocks: ``include_counts`` of one bank."""
+    half = bank.clause_count // 2
+    counts = np.zeros((2, bank.literal_count), dtype=np.int64)
+    pairs = np.zeros((len(columns), len(columns)), dtype=np.int64)
+    for start, include in bank.include_blocks():
+        if columns:
+            m = include[:, columns].astype(np.int64)
+            pairs += m.T @ m
+        cut = min(max(half - start, 0), len(include))
+        for k, part in enumerate((include[:cut], include[cut:])):
+            # The bool bytes summed in uint16 take about half the time of an
+            # int32 sum; a block has at most 2**16 - 1 rows, so it cannot overflow.
+            counts[k] += np.add.reduce(part.view(np.uint8), axis=0, dtype=np.uint16)
+    return counts, pairs
 
 
 def _block_rows(literal_count: int) -> int:

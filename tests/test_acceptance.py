@@ -249,7 +249,7 @@ def test_c6_one_pass_pair_counts_match_the_clause_counts(synthetic_runs):
         words = list(reversed(run.vocab.words))
         for label in (Label.KNOWN, Label.NOVEL):
             oracle = cooccurrence(run.clauses, label, clause_count=run.clause_count)
-            co = word_pair_counts(run.model, label, words, run.vocab)
+            co, _ = word_pair_counts(run.model, label, words, run.vocab)
             assert co.clause_count == oracle.clause_count
             assert {(a, b): co.pair_count(a, b) for a in words for b in words} == {
                 (a, b): oracle.pair_count(a, b) for a in words for b in words

@@ -422,6 +422,28 @@ class TestExitCodes:
         assert code == EXIT_VALIDATION
         assert "hash mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("copied", [("vocabulary.txt",), ("vocabulary.txt", "tokens.csv")],
+                             ids=["vocabulary", "vocabulary-tokens"])
+    def test_train_refuses_the_files_of_two_ingests(self, tmp_path, corpus_dirs, capsys, copied):
+        # An ingest stopped partway leaves the new corpus's first files beside
+        # the old bit vectors, whose indices still fit the grown vocabulary.
+        run = small_run(tmp_path, corpus_dirs)
+        out, second = tmp_path / "out", tmp_path / "second"
+        assert main(["ingest", *run["ingest"]]) == EXIT_OK
+        for i, text in enumerate(["aardvark abacus", "abacus abbey", "aardvark abbey"]):
+            (corpus_dirs[1] / f"extra{i}.txt").write_text(text, "utf-8")
+        assert main(["ingest", *corpus_flags(corpus_dirs), "--out", str(second)]) == EXIT_OK
+        assert len(read_vocabulary(second / "vocabulary.txt")) == len(read_vocabulary(out / "vocabulary.txt")) + 3
+        for name in copied:
+            (out / name).write_bytes((second / name).read_bytes())
+        capsys.readouterr()
+        assert main(["train", *run["train"]]) == EXIT_VALIDATION
+        assert "booldocs.csv does not match tokens.csv and vocabulary.txt" in one_line_error(capsys)
+        assert not (out / "model.tm").exists()
+        for name in ("vocabulary.txt", "tokens.csv", "booldocs.csv"):  # the second ingest, complete
+            (out / name).write_bytes((second / name).read_bytes())
+        assert main(["train", *run["train"]]) == EXIT_OK
+
     def test_eval_of_a_label_too_small_to_split(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.csv"
         corpus.write_text("doc_id,label,text\na,known,cricket six england\nb,novel,rugby old despite\n", "utf-8")
@@ -765,6 +787,19 @@ def test_context_without_words_is_validation_error(tmp_path, capsys, words):
     case_study_model().save(out / "model.tm")
     assert main(["context", "--words", words, "--out", str(out)]) == EXIT_VALIDATION
     assert "--words" in one_line_error(capsys)
+    assert not (out / "context_novel.csv").exists()
+
+
+def test_context_refuses_a_repeated_word_before_reading_the_model(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    _case_study_run(out)
+
+    def no_reading(*args, **kwargs):
+        raise AssertionError("context read the model before checking --words")
+
+    monkeypatch.setattr(tsetlin.StoredModel, "open", no_reading)
+    assert main(["context", "--words", "rugby,old,rugby", "--out", str(out)]) == EXIT_VALIDATION
+    assert one_line_error(capsys) == "error: --words repeats the word(s) rugby\n"
     assert not (out / "context_novel.csv").exists()
 
 

@@ -324,7 +324,7 @@ class TestWordPairCounts:
     """One pass over a bank's include blocks counts what ``cooccurrence`` counts over its clauses."""
 
     def test_case_study_hand_values(self):
-        co = word_pair_counts(case_study_model(), Label.NOVEL, ["rugby", "old", "despite", "ball"], case_study_vocab())
+        co, _ = word_pair_counts(case_study_model(), Label.NOVEL, ["rugby", "old", "despite", "ball"], case_study_vocab())
         # Counted by hand over the four novel clauses.
         assert co.pair_count("rugby", "old") == co.pair_count("old", "rugby") == 2
         assert co.pair_count("rugby", "rugby") == 2
@@ -332,7 +332,7 @@ class TestWordPairCounts:
         assert (co.label, co.clause_count) == (Label.NOVEL, 4)
 
     def test_a_word_not_requested_raises(self):
-        co = word_pair_counts(case_study_model(), Label.NOVEL, ["rugby", "old"], case_study_vocab())
+        co, _ = word_pair_counts(case_study_model(), Label.NOVEL, ["rugby", "old"], case_study_vocab())
         with pytest.raises(KeyError, match="despite"):
             co.pair_count("rugby", "despite")
         with pytest.raises(KeyError, match="despite"):
@@ -343,6 +343,13 @@ class TestWordPairCounts:
     def test_vocabulary_size_mismatch_raises(self):
         with pytest.raises(ValueError, match="feature count"):
             word_pair_counts(case_study_model(), Label.NOVEL, ["rugby"], _VOCAB)
+
+    @pytest.mark.parametrize("label", [Label.KNOWN, Label.NOVEL])
+    def test_the_same_read_gives_the_word_bags(self, label):
+        # Both banks' include counts come from the one read, whichever bank holds the pairs.
+        _, bags = word_pair_counts(case_study_model(), label, ["rugby", "old"], case_study_vocab())
+        assert bags == build_word_bags(case_study_model(), case_study_vocab())
+        assert bags == word_bags_from_clauses(case_study_clauses())
 
     @pytest.mark.parametrize("feature_count", [1, 37, 70])
     def test_equals_the_clause_list_oracle(self, tmp_path, monkeypatch, feature_count):
@@ -372,7 +379,7 @@ class TestWordPairCounts:
                 for label in (Label.KNOWN, Label.NOVEL):
                     oracle = cooccurrence(clauses, label, clause_count=14)
                     for words in word_lists:
-                        co = word_pair_counts(source, label, words, vocab)
+                        co, _ = word_pair_counts(source, label, words, vocab)
                         assert (co.label, co.clause_count) == (label, 14)
                         assert {(a, b): co.pair_count(a, b) for a in words for b in words} == {
                             (a, b): oracle.pair_count(a, b) for a in words for b in words

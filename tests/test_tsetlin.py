@@ -21,6 +21,7 @@ from tmnovelty.tsetlin import (
     classify_batch,
     extract_clauses,
     fit,
+    include_counts,
     literal_vector,
     pack_bits,
     write_clause_dump,
@@ -554,9 +555,13 @@ class TestExtractClauses:
             assert extract_clauses(model, vocab) == oracle
             assert build_word_bags(model, vocab) == word_bags_from_clauses(oracle)
             half = clause_count // 2
-            for bank in model.banks.values():
+            columns = [0, feature_count, 2 * feature_count - 1]
+            counted = include_counts(model, {Label.NOVEL: columns})
+            for label, bank in model.banks.items():
                 include = include_mask(bank)
-                assert np.array_equal(bank.include_counts(), [include[:half].sum(0), include[half:].sum(0)])
+                assert np.array_equal(counted[label][0], [include[:half].sum(0), include[half:].sum(0)])
+                m = include[:, columns if label is Label.NOVEL else []].astype(np.int64)
+                assert np.array_equal(counted[label][1], m.T @ m)
             if trial == 6:
                 edges = range(bank._block_rows, clause_count, bank._block_rows)
                 assert bank._block_rows == 3
@@ -700,12 +705,13 @@ class TestStoredModel:
         model.save(path)
         half = clause_count // 2
         with StoredModel.open(path) as stored:
+            counted, streamed = include_counts(model), include_counts(stored)
             for k, (label, bank) in enumerate(model.banks.items()):
                 include = include_mask(bank)
                 oracle = [include[:half].sum(0), include[half:].sum(0)]
                 assert oracle[0][k] == oracle[1][k] == half
-                assert np.array_equal(bank.include_counts(), oracle)
-                assert np.array_equal(stored.banks[label].include_counts(), oracle)
+                assert np.array_equal(counted[label][0], oracle)
+                assert np.array_equal(streamed[label][0], oracle)
 
     @pytest.mark.parametrize("feature_count", [1, 37, 70])
     def test_stream_reads_what_memory_and_load_hold(self, tmp_path, monkeypatch, feature_count):
@@ -726,11 +732,11 @@ class TestStoredModel:
         with StoredModel.open(path) as stored:
             assert (stored.params, stored.feature_count) == (model.params, feature_count)
             assert stored.vocab_hash == vocab.sha256()
+            counted, streamed, reloaded = include_counts(model), include_counts(stored), include_counts(loaded)
             for label, bank in stored.banks.items():
                 assert [start for start, _ in bank.include_blocks()] == [0, 3, 6, 9, 12]
-                counts = model.banks[label].include_counts()
-                assert np.array_equal(bank.include_counts(), counts)
-                assert np.array_equal(loaded.banks[label].include_counts(), counts)
+                assert np.array_equal(streamed[label][0], counted[label][0])
+                assert np.array_equal(reloaded[label][0], counted[label][0])
             bags = build_word_bags(model, vocab)
             assert build_word_bags(stored, vocab) == bags == build_word_bags(loaded, vocab)
             clauses = extract_clauses(model, vocab)
@@ -760,8 +766,9 @@ class TestStoredModel:
         real_preadv = os.preadv
         monkeypatch.setattr(tsetlin.os, "preadv", lambda fd, buffers, offset: real_preadv(fd, [buffers[0][:7]], offset))
         with StoredModel.open(tmp_path / "model.tm") as stored:
-            for label, bank in stored.banks.items():
-                assert np.array_equal(bank.include_counts(), model.banks[label].include_counts())
+            streamed, counted = include_counts(stored), include_counts(model)
+            for label in stored.banks:
+                assert np.array_equal(streamed[label][0], counted[label][0])
         assert np.array_equal(TMModel.load(tmp_path / "model.tm").banks[Label.NOVEL].state, model.banks[Label.NOVEL].state)
 
     def test_opening_checks_the_header_and_the_file_is_closed_after(self, tmp_path):
@@ -799,14 +806,16 @@ def _trained_states(model: TMModel) -> list[bytes]:
 
 
 class TestReadBanks:
-    """``read_banks`` runs one pass per bank at once and ends every pass before it returns."""
+    """``include_counts`` runs one pass per bank at once and ends every pass before it returns."""
 
-    def test_both_passes_run_at_once_and_come_back_in_file_order(self):
+    def test_both_passes_run_at_once_and_come_back_in_file_order(self, monkeypatch):
         # Each pass waits for the other at the barrier, so serial passes would time out.
+        model = case_study_model()
+        labels = {id(bank): label for label, bank in model.banks.items()}
         barrier = threading.Barrier(2, timeout=10)
+        monkeypatch.setattr(tsetlin, "_count_bank", lambda bank, columns: (barrier.wait(), labels[id(bank)].value)[1])
         threads = threading.active_count()
-        jobs = {label: (lambda label=label: (barrier.wait(), label.value)[1]) for label in (Label.NOVEL, Label.KNOWN)}
-        results = tsetlin.read_banks(jobs)
+        results = include_counts(model)
         assert list(results.items()) == [(Label.KNOWN, "known"), (Label.NOVEL, "novel")]
         assert threading.active_count() == threads
 
@@ -819,35 +828,37 @@ class TestReadBanks:
         for bank in model.banks.values():
             bank.state[...] = rng.integers(1, 17, bank.state.shape)
         model.save(tmp_path / "model.tm")
-        expected = {label: bank.include_counts() for label, bank in model.banks.items()}
+        columns = {Label.KNOWN: [0, 40, 73], Label.NOVEL: [5, 36]}
+        expected = include_counts(model, columns)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with StoredModel.open(tmp_path / "model.tm") as stored:
                 for _ in range(20):
-                    counts = tsetlin.read_banks({label: bank.include_counts for label, bank in stored.banks.items()})
-                    assert all(np.array_equal(counts[label], expected[label]) for label in expected)
+                    counts = include_counts(stored, columns)
+                    assert all(np.array_equal(counts[label][k], expected[label][k]) for label in expected for k in (0, 1))
         finally:
             sys.setswitchinterval(interval)
 
-    def test_the_first_bank_in_file_order_reports_its_error(self):
+    def test_the_first_bank_in_file_order_reports_its_error(self, monkeypatch):
         # The novel pass fails first; the known pass fails only after it.
+        model = case_study_model()
+        labels = {id(bank): label for label, bank in model.banks.items()}
         novel_failed = threading.Event()
         finished = []
 
-        def known():
-            assert novel_failed.wait(10)
-            finished.append(Label.KNOWN)
-            raise ValueError("known failed")
-
-        def novel():
-            finished.append(Label.NOVEL)
+        def count_bank(bank, columns):
+            label = labels[id(bank)]
+            if label is Label.KNOWN:
+                assert novel_failed.wait(10)
+            finished.append(label)
             novel_failed.set()
-            raise ValueError("novel failed")
+            raise ValueError(f"{label.value} failed")
 
+        monkeypatch.setattr(tsetlin, "_count_bank", count_bank)
         threads = threading.active_count()
         with pytest.raises(ValueError, match="known failed"):
-            tsetlin.read_banks({Label.KNOWN: known, Label.NOVEL: novel})
+            include_counts(model)
         assert finished == [Label.NOVEL, Label.KNOWN]
         assert threading.active_count() == threads
 
