@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import os
 import re
-import tempfile
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -13,9 +12,12 @@ _NEEDS_QUOTES = re.compile('[,"\r\n]')
 
 
 def atomic_write_bytes(path: str | Path, data: bytes | memoryview) -> None:
+    """Write ``data`` to a new temp file beside ``path``, renamed over it; on any failure the temp file is removed."""
     target = Path(path)
     target.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=target.parent, prefix=f".{target.name}.", suffix=".tmp")
+    tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+    # Mode 0666 less the umask, as open() gives a new file (0644 under 022), not mkstemp's 0600.
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -10,10 +10,11 @@ a second stage on the same directory is refused.  The kernel frees the lock
 when the holder's process ends, however it ends, so what the file holds
 never matters.
 
-A stage refuses bad input by raising: ``MissingInputError`` for an input
-that is not there, ``ValueError`` for one that is wrong.  ``main`` alone
-turns these into one ``error:`` line and an exit code: 0 ok, 1 validation
-failure (``ValueError``), 2 missing input (``MissingInputError``).
+A stage raises what the OS and the parsers raise: ``FileNotFoundError`` for
+an input that is not there, ``ValueError`` for one that is wrong, another
+``OSError`` for a file that cannot be read or written.  ``main`` alone turns
+these into one ``error:`` line, naming the path where the error has one, and
+an exit code: 0 ok, 1 validation or other OS failure, 2 missing input.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ EXIT_VALIDATION = 1
 EXIT_MISSING = 2
 
 
-class MissingInputError(Exception):
-    """A stage input that is not there; ``main`` exits 2 on it."""
-
-
 @contextmanager
 def _output_lock(outdir: Path):
     """Hold the ``flock`` on ``<out>/.lock``; the file stays, as unlinking it would let two stages lock two inodes."""
@@ -52,20 +49,11 @@ def _output_lock(outdir: Path):
         outdir.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
         raise ValueError(f"output directory is not a directory: {outdir}") from None
-    except OSError as err:
-        raise ValueError(f"cannot create output directory {outdir}: {err.strerror}") from None
-    lock = outdir / ".lock"
-    try:
-        fh = open(lock, "ab")  # writable: NFS emulates flock with POSIX locks, which need one
-    except OSError as err:
-        raise ValueError(f"cannot open {lock}: {err.strerror}") from None
-    with fh:
+    with open(outdir / ".lock", "ab") as fh:  # writable: NFS emulates flock with POSIX locks, which need one
         try:
             fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except BlockingIOError:
             raise ValueError(f"output directory is locked by another stage: {outdir}") from None
-        except OSError as err:
-            raise ValueError(f"cannot lock {lock}: {err.strerror}") from None
         yield
 
 
@@ -79,7 +67,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     if args.config:
         path = Path(args.config)
         if not path.is_file():
-            raise MissingInputError(f"config file not found: {path}")
+            raise FileNotFoundError(f"config file not found: {path}")
         try:
             config = parse_config(read_utf8(path), config)
         except ValueError as err:
@@ -100,21 +88,18 @@ def _load_raw_corpus(config: RunConfig) -> list[corpus_mod.RawDoc]:
     sources = [name for name, value in given.items() if value]
     if len(sources) > 1:
         raise ValueError(f"more than one corpus source: {', '.join(sources)} (set only one)")
-    try:
-        if config.csv_path:
-            raw = corpus_mod.read_csv_corpus(config.csv_path)
-        elif config.data_root:
-            known = [g for g in (config.known_groups or "").split(";") if g]
-            novel = [g for g in (config.novel_groups or "").split(";") if g]
-            if not known or not novel:
-                raise ValueError("data_root requires known_groups and novel_groups")
-            raw = corpus_mod.read_grouped_dirs(config.data_root, known, novel)
-        elif config.known_dir and config.novel_dir:
-            raw = corpus_mod.read_class_dirs(config.known_dir, config.novel_dir)
-        else:
-            raise ValueError("no corpus source configured (need known_dir+novel_dir, data_root, or csv_path)")
-    except FileNotFoundError as err:
-        raise MissingInputError(str(err)) from None
+    if config.csv_path:
+        raw = corpus_mod.read_csv_corpus(config.csv_path)
+    elif config.data_root:
+        known = [g for g in (config.known_groups or "").split(";") if g]
+        novel = [g for g in (config.novel_groups or "").split(";") if g]
+        if not known or not novel:
+            raise ValueError("data_root requires known_groups and novel_groups")
+        raw = corpus_mod.read_grouped_dirs(config.data_root, known, novel)
+    elif config.known_dir and config.novel_dir:
+        raw = corpus_mod.read_class_dirs(config.known_dir, config.novel_dir)
+    else:
+        raise ValueError("no corpus source configured (need known_dir+novel_dir, data_root, or csv_path)")
     seen: set[str] = set()
     for doc_id, _, _ in raw:
         if doc_id in seen:
@@ -125,7 +110,7 @@ def _load_raw_corpus(config: RunConfig) -> list[corpus_mod.RawDoc]:
 
 def _require(path: Path, what: str) -> Path:
     if not path.is_file():
-        raise MissingInputError(f"{what} not found: {path}")
+        raise FileNotFoundError(f"{what} not found: {path}")
     return path
 
 
@@ -348,10 +333,18 @@ def main(argv: list[str] | None = None) -> int:
                 run(config)
             if settings:
                 atomic_write_text(outdir / f"{args.command}_config.txt", serialize_config(config, settings))
-    except (MissingInputError, ValueError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_MISSING if isinstance(err, MissingInputError) else EXIT_VALIDATION
+    except (OSError, ValueError) as err:
+        print(f"error: {_one_line(err)}", file=sys.stderr)
+        return EXIT_MISSING if isinstance(err, FileNotFoundError) else EXIT_VALIDATION
     return EXIT_OK
+
+
+def _one_line(err: OSError | ValueError) -> str:
+    """The error's message; for an OS error, its path (a rename's target) and its reason."""
+    if isinstance(err, OSError) and err.strerror:
+        path = err.filename2 or err.filename
+        return f"{path}: {err.strerror}" if path is not None else err.strerror
+    return str(err)
 
 
 def entrypoint() -> None:

@@ -68,9 +68,10 @@ _BOOL_FALSE = {"false", "0", "no", "off"}
 
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
-    """The config ``text`` describes, over ``base`` (the defaults when None)."""
+    """The config ``text`` describes, over ``base`` (the defaults when None); a key may be set once."""
     fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     values: dict[str, object] = {}
+    set_on: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -82,15 +83,18 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         value = value.strip()
         if key not in fields:
             raise ValueError(f"unknown config key {key!r} (line {lineno})")
-        values[key] = _coerce(key, value, fields[key].type)
+        if key in set_on:
+            raise ValueError(f"config key {key!r} is set twice (lines {set_on[key]} and {lineno})")
+        set_on[key] = lineno
+        values[key] = _coerce(key, value, fields[key].type, lineno)
     return dataclasses.replace(base or RunConfig(), **values)
 
 
-def _coerce(key: str, value: str, type_hint: str | type) -> object:
+def _coerce(key: str, value: str, type_hint: str | type, lineno: int) -> object:
     hint = type_hint if isinstance(type_hint, str) else getattr(type_hint, "__name__", str(type_hint))
     if value == "none":
         if "None" not in hint:
-            raise ValueError(f"config key {key!r} cannot be none")
+            raise ValueError(f"config key {key!r} cannot be none (line {lineno})")
         return None
     if "bool" in hint:
         low = value.lower()
@@ -98,11 +102,13 @@ def _coerce(key: str, value: str, type_hint: str | type) -> object:
             return True
         if low in _BOOL_FALSE:
             return False
-        raise ValueError(f"config key {key!r}: expected a boolean, got {value!r}")
-    if "int" in hint:
-        return int(value)
-    if "float" in hint:
-        return float(value)
+        raise ValueError(f"config key {key!r}: expected a boolean, got {value!r} (line {lineno})")
+    for kind, name in ((int, "an integer"), (float, "a number")):
+        if kind.__name__ in hint:
+            try:
+                return kind(value)
+            except ValueError:
+                raise ValueError(f"config key {key!r}: expected {name}, got {value!r} (line {lineno})") from None
     return value
 
 

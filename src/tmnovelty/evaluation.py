@@ -15,7 +15,6 @@ read from the ``RankingCurves`` of the held-out side.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import asdict, dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -155,8 +154,8 @@ class LogisticModel:
 def fit_logistic(features: np.ndarray, targets: np.ndarray) -> LogisticModel:
     """Deterministic full-batch gradient descent on standardized features: 500 steps of 0.5, L2 1e-4.
 
-    Zero-variance feature columns are dropped with a warning; both target
-    labels must be present.
+    Zero-variance feature columns are dropped, and the model's ``kept``
+    mask shows which; both target labels must be present.
     """
     epochs, learning_rate, l2 = 500, 0.5, 1e-4
     features = np.asarray(features, dtype=np.float64)
@@ -167,9 +166,6 @@ def fit_logistic(features: np.ndarray, targets: np.ndarray) -> LogisticModel:
         raise ValueError("both labels required")
     std = features.std(axis=0)
     kept = std > 1e-12
-    if not kept.all():
-        dropped = np.flatnonzero(~kept).tolist()
-        warnings.warn(f"dropping zero-variance feature columns {dropped}", stacklevel=2)
     mean = features[:, kept].mean(axis=0)
     scale = std[kept]
     standardized = (features[:, kept] - mean) / scale
@@ -283,9 +279,7 @@ def score_discrimination(
     features = doc_feature_matrix(token_docs, word_scores)
     targets = np.array([lab is Label.NOVEL for lab in labels], dtype=np.float64)
     train_idx, test_idx = train_test_split(labels, seed=seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        model = fit_logistic(features[train_idx], targets[train_idx])
+    model = fit_logistic(features[train_idx], targets[train_idx])
     probs = model.predict_proba(features[test_idx])
     curves = roc_pr(probs, targets[test_idx].astype(bool))
     accuracy = float(np.mean((probs >= 0.5) == targets[test_idx].astype(bool)))

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import errno
 import fcntl
 import json
 import os
@@ -278,6 +279,42 @@ class TestExitCodes:
         ])
         assert code == EXIT_MISSING
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--data-root", "{absent}", "--known-groups", "a", "--novel-groups", "b"], "corpus root not found"),
+            (["--csv-path", "{absent}"], "corpus CSV not found"),
+            (["--config", "{absent}"], "config file not found"),
+        ],
+        ids=["data-root", "csv-path", "config"],
+    )
+    def test_path_flag_naming_nothing_is_missing_input(self, tmp_path, capsys, flags, message):
+        absent = tmp_path / "absent"
+        out = tmp_path / "out"
+        code = main(["ingest", *(f.format(absent=absent) for f in flags), "--out", str(out)])
+        assert code == EXIT_MISSING
+        assert one_line_error(capsys) == f"error: {message}: {absent}\n"
+        assert not (out / "tokens.csv").exists()
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("clauses 12\n", "malformed config line 1: 'clauses 12'"),
+            ("stemming = maybe\n", "config key 'stemming': expected a boolean, got 'maybe' (line 1)"),
+            ("clauses = 1.5\n", "config key 'clauses': expected an integer, got '1.5' (line 1)"),
+            ("# run\nsensitivity = high\n", "config key 'sensitivity': expected a number, got 'high' (line 2)"),
+            ("clauses = 16\nmin_df = 2\nclauses = 32\n", "config key 'clauses' is set twice (lines 1 and 3)"),
+        ],
+        ids=["no-equals", "bad-boolean", "float-for-int", "word-for-float", "repeated-key"],
+    )
+    def test_config_refusal_names_the_key_and_line(self, tmp_path, corpus_dirs, capsys, text, message):
+        config = tmp_path / "run.cfg"
+        config.write_text(text, "utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", *corpus_flags(corpus_dirs), "--config", str(config), "--out", str(out)]) == EXIT_VALIDATION
+        assert one_line_error(capsys) == f"error: malformed config: {message}\n"
+        assert not out.exists()
+
     def test_no_corpus_source_is_validation_error(self, tmp_path):
         assert main(["ingest", "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
 
@@ -331,6 +368,22 @@ class TestExitCodes:
         assert main(["ingest", *base, "--max-features", value]) == EXIT_VALIDATION
         assert "max_features" in one_line_error(capsys)
         assert not (tmp_path / "out" / "vocabulary.txt").exists()
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_vote_margin_below_one_is_validation_error(self, tmp_path, corpus_dirs, capsys, value):
+        run = small_run(tmp_path, corpus_dirs)
+        assert main(["ingest", *run["ingest"]]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["train", *run["train"], "--vote-margin", value]) == EXIT_VALIDATION
+        assert one_line_error(capsys) == "error: vote_margin must be >= 1\n"
+        assert not (tmp_path / "out" / "model.tm").exists()
+
+    def test_tfidf_of_a_token_table_without_documents(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        write_tokens([], out / "tokens.csv")
+        assert main(["tfidf", "--out", str(out)]) == EXIT_VALIDATION
+        assert one_line_error(capsys) == "error: at least one document required\n"
+        assert not (out / "tfidf.csv").exists()
 
     def test_state_count_beyond_int16_is_validation_error(self, tmp_path, corpus_dirs, capsys):
         run = small_run(tmp_path, corpus_dirs)
@@ -469,6 +522,8 @@ MODEL_CORRUPTIONS = {
     "float-clause-count": lambda h, body: ({**h, "params": {**h["params"], "clause_count": 4.0}}, body),
     "numeric-vocab-hash": lambda h, body: ({**h, "vocab_hash": 7}, body),
     "header-not-an-object": lambda h, body: ([h], body),
+    "version-2": lambda h, body: ({**h, "version": 2}, body),
+    "int32-states": lambda h, body: ({**h, "state_dtype": "<i4"}, body),
     "truncated": lambda h, body: (h, body[:-2]),
     "trailing-bytes": lambda h, body: (h, body + b"\x00\x00"),
     "state-999": lambda h, body: (h, np.array([999], dtype="<i2").tobytes() + body[2:]),
@@ -582,6 +637,16 @@ def _truncate_inside_the_second_bank(monkeypatch):
     return edit
 
 
+def _failing_reads(monkeypatch):
+    """Every positional read fails as a disk read error does."""
+    def edit(out, body, bank_bytes):
+        def preadv(*args):
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(os, "preadv", preadv)
+    return edit
+
+
 # Both banks are read at once, one thread per bank.  The known bank is the first
 # in file order, so when both fail, its error is the one reported, though its
 # bad state sits in its last block and the novel bank's in its first.
@@ -589,6 +654,7 @@ CONCURRENT_FAILURES = {
     "novel-only": (lambda monkeypatch: _bad_states(False, True), "novel clause states outside [1, 16]"),
     "both-banks": (lambda monkeypatch: _bad_states(True, True), "known clause states outside [1, 16]"),
     "ends-in-second-bank": (_truncate_inside_the_second_bank, "model file ended before its states did"),
+    "read-error": (_failing_reads, f"error: {os.strerror(errno.EIO)}\n"),
 }
 
 
@@ -1026,6 +1092,33 @@ class TestIngestRefusals:
         assert [p.name for p in out.iterdir()] == [".lock"]
 
     @pytest.mark.parametrize(
+        "text,flags,message",
+        [
+            ("doc_id,label,text\na,known,cricket six\nb,maybe,rugby old\n", [],
+             "unknown label 'maybe'; expected 'known' or 'novel'"),
+            ("doc_id,label,text\n", [], "empty corpus"),
+            ("doc_id,label,text\na,known,cricket six\nb,novel,rugby old\n", ["--min-df", "0"], "min_df must be >= 1"),
+        ],
+        ids=["unknown-label", "header-only", "min-df-0"],
+    )
+    def test_csv_corpus_refusal(self, tmp_path, capsys, text, flags, message):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text(text, "utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", "--csv-path", str(corpus), *flags, "--out", str(out)]) == EXIT_VALIDATION
+        assert one_line_error(capsys) == f"error: {message}\n"
+        assert [p.name for p in out.iterdir()] == [".lock"]
+
+    def test_class_directories_without_files(self, tmp_path, capsys):
+        (tmp_path / "known").mkdir()
+        (tmp_path / "novel").mkdir()
+        out = tmp_path / "out"
+        argv = ["ingest", *corpus_flags((tmp_path / "known", tmp_path / "novel")), "--out", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        assert one_line_error(capsys) == "error: empty corpus\n"
+        assert [p.name for p in out.iterdir()] == [".lock"]
+
+    @pytest.mark.parametrize(
         "sources,named",
         [
             (["csv", "root"], "csv_path, data_root"),
@@ -1112,6 +1205,24 @@ class TestBadUserPath:
         assert main([stage, *flags, "--out", str(out)]) == EXIT_VALIDATION
         assert str(out) in one_line_error(capsys)
         assert out.read_text("utf-8") == "not a directory\n"
+
+
+# One file each stage writes.
+STAGE_OUTPUTS = {"ingest": "tokens.csv", "train": "model.tm", "describe": "score_table.csv",
+                 "context": "context_novel.csv", "tfidf": "tfidf.csv", "eval": "report.json"}
+
+
+@pytest.mark.parametrize("stage,product", STAGE_OUTPUTS.items(), ids=STAGE_OUTPUTS.keys())
+def test_output_that_is_a_directory(tmp_path, corpus_dirs, capsys, stage, product):
+    out = run_pipeline(tmp_path, corpus_dirs)
+    (out / product).unlink(missing_ok=True)
+    (out / product).mkdir()
+    flags = {"ingest": corpus_flags(corpus_dirs), "train": [*TRAIN_PARAMS, "--epochs", "2"],
+             "context": ["--words", "rugby,cricket"]}.get(stage, [])
+    capsys.readouterr()
+    assert main([stage, *flags, "--out", str(out)]) == EXIT_VALIDATION
+    assert one_line_error(capsys) == f"error: {out / product}: Is a directory\n"
+    assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
 
 
 def test_readme_python_block_runs(capsys):
@@ -1297,7 +1408,7 @@ class TestOutputLock:
     def test_output_directory_that_cannot_be_created(self, tmp_path, capsys):
         out = tmp_path / ("x" * 300)  # longer than a file name may be
         assert main(["tfidf", "--out", str(out)]) == EXIT_VALIDATION
-        assert one_line_error(capsys) == f"error: cannot create output directory {out}: File name too long\n"
+        assert one_line_error(capsys) == f"error: {out}: File name too long\n"
 
     def test_lock_that_is_a_directory(self, tmp_path, corpus_dirs, capsys):
         out = tmp_path / "out"

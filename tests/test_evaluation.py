@@ -1,7 +1,6 @@
 """Word categories, CFD, summary stats, logistic regression, ROC/PR."""
 
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -93,10 +92,8 @@ class TestFitLogistic:
     def test_identical_features_predict_prior(self):
         features = np.ones((10, 2))
         targets = np.array([1.0] * 7 + [0.0] * 3)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            model = fit_logistic(features, targets)
-        assert any("zero-variance" in str(w.message) for w in caught)
+        model = fit_logistic(features, targets)
+        assert not model.kept.any()
         probs = model.predict_proba(features)
         assert np.allclose(probs, 0.7, atol=0.02)
 
@@ -115,6 +112,10 @@ class TestFitLogistic:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError, match="both labels"):
             fit_logistic(np.array([[1.0], [2.0]]), np.array([1.0, 1.0]))
+
+    def test_non_binary_targets_rejected(self):
+        with pytest.raises(ValueError, match="targets must be binary"):
+            fit_logistic(np.array([[1.0], [2.0], [3.0]]), np.array([0.0, 1.0, 2.0]))
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(9)

@@ -416,6 +416,12 @@ class TestContextualScore:
         with pytest.raises(KeyError, match="unscored word"):
             contextual_score(co, table, "rugby", "zeppelin")
 
+    def test_empty_clause_pool_rejected(self, setup):
+        _, table = setup
+        co = cooccurrence(case_study_clauses(), Label.NOVEL, clause_count=0)
+        with pytest.raises(ValueError, match="no clauses available"):
+            contextual_score(co, table, "rugby", "old")
+
 class TestScoreTableExport:
     def test_sorted_by_descending_score(self, tmp_path):
         bags = case_study_bags()

@@ -457,6 +457,12 @@ class TestFit:
         with pytest.raises(ValueError, match="both classes"):
             fit(model, docs, epochs=1)
 
+    def test_document_of_another_width_rejected(self):
+        docs = self.make_docs([((True, False), Label.NOVEL), ((False, True), Label.KNOWN)], copies=1)
+        model = TMModel.create(small_params(), 3)
+        with pytest.raises(ValueError, match="'d0_0' width != model width"):
+            fit(model, docs, epochs=1)
+
     def test_contradictory_labels_cap_accuracy(self):
         docs = [
             BoolDoc("a", Label.KNOWN, bits(True, False)),
