@@ -5,6 +5,8 @@ them, and writes its products atomically, so re-running a stage with
 unchanged inputs rewrites byte-identical files.  Every CSV goes through
 ``_files.write_csv``.  A stage takes flags only for the settings it reads,
 and records those settings in ``<stage>_config.txt`` once it succeeds.
+Argparse stores a flag's text, and ``config.parse_setting`` reads it as it
+reads a config line's: ``--stoplist none`` is the bundled list.
 While it runs, a stage holds an exclusive ``flock`` on ``<out>/.lock``, so
 a second stage on the same directory is refused.  The kernel frees the lock
 when the holder's process ends, however it ends, so what the file holds
@@ -15,6 +17,7 @@ an input that is not there, ``ValueError`` for one that is wrong, another
 ``OSError`` for a file that cannot be read or written.  ``main`` alone turns
 these into one ``error:`` line, naming the path where the error has one, and
 an exit code: 0 ok, 1 validation or other OS failure, 2 missing input.
+Argparse exits 2 itself on an unknown flag, no ``--words`` or a bad choice.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from pathlib import Path
 from . import baseline, evaluation, novelty, tsetlin
 from . import corpus as corpus_mod
 from ._files import atomic_write_text, read_utf8, write_csv
-from .config import PROFILES, RunConfig, parse_config, serialize_config
+from .config import PROFILES, RunConfig, parse_config, parse_setting, serialize_config
 from .corpus import Label
 
 OUTPUT_DIR_ENV = "TMNOVELTY_OUT"
@@ -75,9 +78,9 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
     if getattr(args, "profile", None):
         config.apply_profile(args.profile)
     for f in dataclasses.fields(RunConfig):
-        value = getattr(args, f.name, None)
-        if value is not None:
-            setattr(config, f.name, value)
+        text = getattr(args, f.name, None)
+        if text is not None:
+            setattr(config, f.name, parse_setting(f.name, text, _flag(f.name)))
     return config
 
 
@@ -260,25 +263,15 @@ def cmd_eval(config: RunConfig) -> None:
 
 # -- argument parsing ---------------------------------------------------------
 
-# The flag of each RunConfig setting that some stage reads.
-_FLAGS: dict[str, tuple[str, dict]] = {
-    "known_dir": ("--known-dir", {}),
-    "novel_dir": ("--novel-dir", {}),
-    "data_root": ("--data-root", {}),
-    "known_groups": ("--known-groups", {"help": "';'-separated folders under data root"}),
-    "novel_groups": ("--novel-groups", {}),
-    "csv_path": ("--csv-path", {}),
-    "stoplist_path": ("--stoplist", {}),
-    "stemming": ("--no-stemming", {"action": "store_const", "const": False}),
-    "min_df": ("--min-df", {"type": int}),
-    "max_features": ("--max-features", {"type": int}),
-    "clauses": ("--clauses", {"type": int}),
-    "vote_margin": ("--vote-margin", {"type": int}),
-    "sensitivity": ("--sensitivity", {"type": float}),
-    "state_count": ("--state-count", {"type": int}),
-    "epochs": ("--epochs", {"type": int}),
-    "seed": ("--seed", {"type": int}),
-}
+# A setting's flag is its name with dashes, but for these.
+_FLAG_NAMES = {"stoplist_path": "--stoplist", "stemming": "--no-stemming", "output_dir": "--out"}
+_FLAG_OPTIONS = {"known_groups": {"help": "';'-separated folders under data root"},
+                 "stemming": {"action": "store_const", "const": "false"}}
+
+
+def _flag(setting: str) -> str:
+    return _FLAG_NAMES.get(setting, "--" + setting.replace("_", "-"))
+
 
 # Each stage: its command, help line and the settings it reads.  A stage takes
 # flags for exactly these, and after it succeeds records them in
@@ -311,12 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "train":
             p.add_argument("--profile", choices=sorted(PROFILES), help="hyperparameter profile")
         for setting in settings:
-            flag, options = _FLAGS[setting]
-            p.add_argument(flag, dest=setting, **options)
+            p.add_argument(_flag(setting), dest=setting, **_FLAG_OPTIONS.get(setting, {}))
         if name == "context":
             p.add_argument("--words", required=True, help="comma-separated word list")
             p.add_argument("--target-class", default="novel", choices=[l.value for l in Label])
-        p.add_argument("--out", dest="output_dir")
+        p.add_argument(_flag("output_dir"), dest="output_dir")
     return parser
 
 

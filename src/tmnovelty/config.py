@@ -1,13 +1,16 @@
 """Run configuration: a flat key=value file with CLI overrides on top.
 
 The file format is one ``key = value`` pair per line, ``#`` comments, no
-sections.  Parsing then serializing then parsing is the identity, which
-makes configs safe to check into experiment directories.
+sections.  A setting is declared once, as a ``RunConfig`` field, and
+``parse_setting`` reads its text, from a config line or a flag alike, by
+the field's type.  Parsing then serializing then parsing is the identity,
+which makes configs safe to check into experiment directories.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import typing
 from collections.abc import Iterable
 from dataclasses import dataclass
 
@@ -63,13 +66,12 @@ class RunConfig:
             setattr(self, key, value)
 
 
-_BOOL_TRUE = {"true", "1", "yes", "on"}
-_BOOL_FALSE = {"false", "0", "no", "off"}
+_BOOLS = {**dict.fromkeys(("true", "1", "yes", "on"), True), **dict.fromkeys(("false", "0", "no", "off"), False)}
+_TYPES = typing.get_type_hints(RunConfig)
 
 
 def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
     """The config ``text`` describes, over ``base`` (the defaults when None); a key may be set once."""
-    fields = {f.name: f for f in dataclasses.fields(RunConfig)}
     values: dict[str, object] = {}
     set_on: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -77,39 +79,42 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"malformed config line {lineno}: {raw!r}")
+            raise ValueError(f"line {lineno} is not 'key = value': {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
-        if key not in fields:
+        if key not in _TYPES:
             raise ValueError(f"unknown config key {key!r} (line {lineno})")
         if key in set_on:
             raise ValueError(f"config key {key!r} is set twice (lines {set_on[key]} and {lineno})")
         set_on[key] = lineno
-        values[key] = _coerce(key, value, fields[key].type, lineno)
+        try:
+            values[key] = parse_setting(key, value.strip())
+        except ValueError as err:
+            raise ValueError(f"{err} (line {lineno})") from None
     return dataclasses.replace(base or RunConfig(), **values)
 
 
-def _coerce(key: str, value: str, type_hint: str | type, lineno: int) -> object:
-    hint = type_hint if isinstance(type_hint, str) else getattr(type_hint, "__name__", str(type_hint))
-    if value == "none":
-        if "None" not in hint:
-            raise ValueError(f"config key {key!r} cannot be none (line {lineno})")
+def parse_setting(key: str, text: str, name: str = "") -> object:
+    """The value ``text`` spells for setting ``key``, of its field's type; a refusal calls the setting ``name``.
+
+    ``none`` unsets an optional setting; one that must be set refuses it, and
+    an empty text too.  ``name`` is the config key unless given.
+    """
+    name = name or f"config key {key!r}"
+    kind, *rest = typing.get_args(_TYPES[key]) or (_TYPES[key],)
+    optional = type(None) in rest
+    if text == "none" and optional:
         return None
-    if "bool" in hint:
-        low = value.lower()
-        if low in _BOOL_TRUE:
-            return True
-        if low in _BOOL_FALSE:
-            return False
-        raise ValueError(f"config key {key!r}: expected a boolean, got {value!r} (line {lineno})")
-    for kind, name in ((int, "an integer"), (float, "a number")):
-        if kind.__name__ in hint:
-            try:
-                return kind(value)
-            except ValueError:
-                raise ValueError(f"config key {key!r}: expected {name}, got {value!r} (line {lineno})") from None
-    return value
+    if text == "none" or (not text and not optional):
+        raise ValueError(f"{name} cannot be {text or 'empty'}")
+    if kind is bool:
+        if text.lower() not in _BOOLS:
+            raise ValueError(f"{name}: expected a boolean, got {text!r}")
+        return _BOOLS[text.lower()]
+    try:
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{name}: expected {'an integer' if kind is int else 'a number'}, got {text!r}") from None
 
 
 def serialize_config(config: RunConfig, names: Iterable[str]) -> str:

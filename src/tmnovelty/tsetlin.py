@@ -344,15 +344,29 @@ class StoredBank:
         self._block_rows = _block_rows(self.literal_count)
 
     def read(self, out: np.ndarray, start: int = 0) -> None:
-        """Fill ``out`` with the checked states of this bank's rows from ``start`` on.
+        """Fill ``out`` with this bank's states from row ``start`` on; a short file or a state outside [1, 2n] raises.
 
-        Rows are read at their own offset, never through the file position,
-        so passes over both banks can run at once.  The descriptor is taken
-        from the held file at each call, so a read after the file is closed
-        raises rather than read a reused descriptor.
+        Rows are read at their own offset (``os.preadv``), never through the
+        file position, so passes over both banks can run at once; a short
+        read is refilled until the file ends, and a failed one names the
+        file.  The descriptor is taken from the held file at each call, so a
+        read after the file is closed raises rather than read a reused
+        descriptor.
         """
-        _read_states(self._fh.fileno(), self._offset + start * self._row_bytes, out, self._label, self.state_count,
-                     self._path)
+        fd, offset = self._fh.fileno(), self._offset + start * self._row_bytes
+        view = memoryview(out).cast("B")
+        done = 0
+        while done < len(view):
+            try:
+                got = os.preadv(fd, [view[done:]], offset + done)
+            except OSError as err:
+                raise OSError(err.errno, err.strerror, str(self._path)) from None
+            if got == 0:
+                raise ValueError(f"model file ended before its states did: {self._path}")
+            done += got
+        if out.min() < 1 or out.max() > 2 * self.state_count:
+            raise ValueError(f"{self._label.value} clause states outside [1, {2 * self.state_count}] "
+                             f"in model file: {self._path}")
 
     def include_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
         """``ClauseBank.include_blocks`` from the file: each block is ``read`` into this pass's buffer."""
@@ -453,23 +467,6 @@ def _count_bank(bank: ClauseBank | StoredBank, columns: list[int]) -> tuple[np.n
 def _block_rows(literal_count: int) -> int:
     """Rows per read or feedback block: at most ``_BLOCK_BYTES`` of states, and at most ``_UINT16_ROWS``."""
     return max(1, min(_UINT16_ROWS, _BLOCK_BYTES // (_STATE_DTYPE.itemsize * max(1, literal_count))))
-
-
-def _read_states(fd: int, offset: int, out: np.ndarray, label: Label, state_count: int, path: str | Path) -> None:
-    """Fill ``out`` with ``label``'s states at byte ``offset`` of the file; a short file or a state outside [1, 2n] raises.
-
-    The read is positional (``os.preadv``), so it neither uses nor moves the
-    file position; a short read is refilled until the file ends.
-    """
-    view = memoryview(out).cast("B")
-    done = 0
-    while done < len(view):
-        got = os.preadv(fd, [view[done:]], offset + done)
-        if got == 0:
-            raise ValueError(f"model file ended before its states did: {path}")
-        done += got
-    if out.min() < 1 or out.max() > 2 * state_count:
-        raise ValueError(f"{label.value} clause states outside [1, {2 * state_count}] in model file: {path}")
 
 
 def _header_field(mapping: object, key: str, kind: type | tuple[type, ...], path: str | Path) -> object:

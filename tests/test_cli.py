@@ -8,6 +8,7 @@ import json
 import os
 import re
 import shlex
+import shutil
 import signal
 import subprocess
 import sys
@@ -299,7 +300,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "text,message",
         [
-            ("clauses 12\n", "malformed config line 1: 'clauses 12'"),
+            ("clauses 12\n", "line 1 is not 'key = value': 'clauses 12'"),
             ("stemming = maybe\n", "config key 'stemming': expected a boolean, got 'maybe' (line 1)"),
             ("clauses = 1.5\n", "config key 'clauses': expected an integer, got '1.5' (line 1)"),
             ("# run\nsensitivity = high\n", "config key 'sensitivity': expected a number, got 'high' (line 2)"),
@@ -654,7 +655,7 @@ CONCURRENT_FAILURES = {
     "novel-only": (lambda monkeypatch: _bad_states(False, True), "novel clause states outside [1, 16]"),
     "both-banks": (lambda monkeypatch: _bad_states(True, True), "known clause states outside [1, 16]"),
     "ends-in-second-bank": (_truncate_inside_the_second_bank, "model file ended before its states did"),
-    "read-error": (_failing_reads, f"error: {os.strerror(errno.EIO)}\n"),
+    "read-error": (_failing_reads, f"error: {{out}}{os.sep}model.tm: {os.strerror(errno.EIO)}\n"),
 }
 
 
@@ -678,7 +679,7 @@ def test_concurrent_bank_read_fails_cleanly(tmp_path, capsys, monkeypatch, stage
     monkeypatch.setattr(tsetlin, "open", recording_open, raising=False)
     names, threads = {*os.listdir(out), ".lock"}, threading.active_count()  # every stage leaves its lock file
     assert main([*stage, "--out", str(out)]) == EXIT_VALIDATION
-    assert message in one_line_error(capsys)
+    assert message.format(out=out) in one_line_error(capsys)
     assert set(os.listdir(out)) == names
     assert len(opened) == 1 and opened[0].closed
     assert threading.active_count() == threads
@@ -693,17 +694,17 @@ def test_read_stage_reads_every_block_once(tmp_path, monkeypatch, stage):
     body = raw.index(b"\n") + 1
     bank_bytes, block_bytes = (len(raw) - body) // 2, tsetlin._BLOCK_BYTES
     reads = []
-    read_states = tsetlin._read_states
+    real_preadv = os.preadv
 
-    def counted(fd, offset, block, label, state_count, path):
-        reads.append((offset, label))
-        read_states(fd, offset, block, label, state_count, path)
+    def counted(fd, buffers, offset):
+        reads.append(offset)
+        return real_preadv(fd, buffers, offset)
 
-    monkeypatch.setattr(tsetlin, "_read_states", counted)
+    monkeypatch.setattr(os, "preadv", counted)
     assert main([*stage, "--out", str(out)]) == EXIT_OK
     assert sorted(reads) == [
-        (body + k * bank_bytes + j * block_bytes, label)
-        for k, label in enumerate((Label.KNOWN, Label.NOVEL))
+        body + k * bank_bytes + j * block_bytes
+        for k in range(2)  # the known bank, then the novel one
         for j in range(bank_bytes // block_bytes)
     ]
     assert bank_bytes // block_bytes == 2
@@ -1021,6 +1022,96 @@ class TestStageRecord:
         assert snapshot(recorded_run) == before
 
 
+# Each stage and each setting it reads (17 pairs), with a text and the reason
+# it is refused for, or None.  The texts include a fraction for an integer, a
+# word for a number, none for a setting that must be set and none for one
+# that may be unset.
+SETTING_TEXTS = [
+    ("ingest", "known_dir", "--known-dir", "{known}", None),
+    ("ingest", "novel_dir", "--novel-dir", "{novel}", None),
+    ("ingest", "data_root", "--data-root", "none", None),
+    ("ingest", "known_groups", "--known-groups", "cricket;football", None),
+    ("ingest", "novel_groups", "--novel-groups", "rugby", None),
+    ("ingest", "csv_path", "--csv-path", "none", None),
+    ("ingest", "stoplist_path", "--stoplist", "none", None),
+    ("ingest", "stemming", "--no-stemming", "false", None),
+    ("ingest", "min_df", "--min-df", "02", None),
+    ("ingest", "max_features", "--max-features", "none", None),
+    ("train", "clauses", "--clauses", "1.5", ": expected an integer, got '1.5'"),
+    ("train", "vote_margin", "--vote-margin", "007", None),
+    ("train", "sensitivity", "--sensitivity", "high", ": expected a number, got 'high'"),
+    ("train", "state_count", "--state-count", "none", " cannot be none"),
+    ("train", "epochs", "--epochs", "3", None),
+    ("train", "seed", "--seed", "007", None),
+    ("eval", "seed", "--seed", "1.5", ": expected an integer, got '1.5'"),
+]
+
+
+@pytest.mark.parametrize("stage,key,flag,text,reason", SETTING_TEXTS, ids=[f"{s}-{k}" for s, k, *_ in SETTING_TEXTS])
+def test_a_flag_means_what_its_config_line_means(tmp_path, corpus_dirs, capsys, stage, key, flag, text, reason):
+    known, novel = corpus_dirs
+    text = text.format(known=known, novel=novel)
+    # Every other setting the stage reads comes from the config file, so the flag overrides nothing.
+    base = {"ingest": {"known_dir": known, "novel_dir": novel},
+            "train": {"clauses": 16, "vote_margin": 5, "sensitivity": 3.0, "state_count": 16, "epochs": 2},
+            "eval": {}}[stage]
+    lines = "".join(f"{k} = {v}\n" for k, v in base.items() if k != key)
+    run = small_run(tmp_path, corpus_dirs)
+    for earlier in ("ingest", "train")[: ("ingest", "train", "eval").index(stage)]:
+        assert main([earlier, *run[earlier]]) == EXIT_OK
+    capsys.readouterr()
+    given = {"flag": ([flag] if key == "stemming" else [flag, text], lines),
+             "config": ([], f"{lines}{key} = {text}\n")}
+    outcomes = {}
+    for source, (flags, config_text) in given.items():
+        out = tmp_path / source
+        if (tmp_path / "out").exists():
+            shutil.copytree(tmp_path / "out", out)
+        out.mkdir(exist_ok=True)
+        config = tmp_path / f"{source}.cfg"
+        config.write_text(config_text, "utf-8")
+        before = snapshot(out)
+        code = main([stage, "--config", str(config), *flags, "--out", str(out)])
+        if code == EXIT_OK:
+            outcomes[source] = (out / f"{stage}_config.txt").read_text("utf-8")
+            continue
+        assert code == EXIT_VALIDATION
+        named = re.escape(flag) if source == "flag" else rf"malformed config: config key '{key}'"
+        refused = re.fullmatch(rf"error: {named}(.*?)(?: \(line \d+\))?\n", one_line_error(capsys))
+        assert refused, source
+        outcomes[source] = refused.group(1)
+        assert snapshot(out) == before
+    assert outcomes["flag"] == outcomes["config"]
+    if reason is not None:
+        assert outcomes["flag"] == reason
+    else:
+        assert f"{key} = " in outcomes["flag"]
+
+
+@pytest.mark.parametrize(
+    "flags,config_text,message",
+    [
+        (["--out", "none"], "", "--out cannot be none"),
+        (["--out", ""], "", "--out cannot be empty"),
+        ([], "output_dir =\n", "malformed config: config key 'output_dir' cannot be empty (line 1)"),
+    ],
+    ids=["flag-none", "flag-empty", "config-empty"],
+)
+def test_out_naming_no_directory_is_refused(tmp_path, monkeypatch, capsys, flags, config_text, message):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.cfg").write_text(config_text, "utf-8")
+    assert main(["describe", "--config", "run.cfg", *flags]) == EXIT_VALIDATION
+    assert one_line_error(capsys) == f"error: {message}\n"
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+def test_empty_output_dir_environment_is_ignored(tmp_path, monkeypatch, corpus_dirs):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("TMNOVELTY_OUT", "")
+    assert main(["ingest", *corpus_flags(corpus_dirs)]) == EXIT_OK
+    assert (tmp_path / "out" / "vocabulary.txt").is_file()
+
+
 @pytest.fixture()
 def grouped_root(tmp_path):
     """A folder-per-topic tree in the BBC Sport layout; tennis is never selected."""
@@ -1196,6 +1287,11 @@ class TestBadUserPath:
         assert code == EXIT_MISSING
         assert one_line_error(capsys) == f"error: stoplist not found: {Path(given)}\n"
         assert [p.name for p in out.iterdir()] == [".lock"]
+
+    def test_stoplist_none_is_the_bundled_list(self, tmp_path, corpus_dirs):
+        for name, given in (("bundled", []), ("none", ["--stoplist", "none"])):
+            assert main(["ingest", *corpus_flags(corpus_dirs), *given, "--out", str(tmp_path / name)]) == EXIT_OK
+        assert snapshot(tmp_path / "none") == snapshot(tmp_path / "bundled")
 
     @pytest.mark.parametrize("stage", ["ingest", "train", "describe", "context", "tfidf", "eval"])
     def test_out_naming_a_file(self, tmp_path, corpus_dirs, capsys, stage):
