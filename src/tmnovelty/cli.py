@@ -3,8 +3,10 @@
 Every stage reads its inputs from the shared output directory, validates
 them, and writes its products atomically, so re-running a stage with
 unchanged inputs rewrites byte-identical files.  Every CSV goes through
-``_files.write_csv``.  A stage takes flags only for the settings it reads,
-and records those settings in ``<stage>_config.txt`` once it succeeds.
+``_files.write_csv``.  ``ingest`` removes ``vocabulary.txt`` before its first
+write and writes it last, so a stopped ingest leaves no vocabulary, and every
+stage that needs one refuses to run.  A stage takes flags only for the
+settings it reads, and records them in ``<stage>_config.txt`` on success.
 Argparse stores a flag's text, and ``config.parse_setting`` reads it as it
 reads a config line's: ``--stoplist none`` is the bundled list.
 While it runs, a stage holds an exclusive ``flock`` on ``<out>/.lock``, so
@@ -91,6 +93,8 @@ def _load_raw_corpus(config: RunConfig) -> list[corpus_mod.RawDoc]:
     sources = [name for name, value in given.items() if value]
     if len(sources) > 1:
         raise ValueError(f"more than one corpus source: {', '.join(sources)} (set only one)")
+    if (config.known_groups or config.novel_groups) and not config.data_root:
+        raise ValueError("known_groups and novel_groups are read only with data_root")
     if config.csv_path:
         raw = corpus_mod.read_csv_corpus(config.csv_path)
     elif config.data_root:
@@ -156,23 +160,21 @@ def cmd_ingest(config: RunConfig) -> None:
     booldocs = [corpus_mod.BoolDoc(doc_id, label, corpus_mod.booleanize(tokens, vocab))
                 for doc_id, label, tokens in normalized]
     outdir = Path(config.output_dir)
-    corpus_mod.write_vocabulary(vocab, outdir / "vocabulary.txt")
+    # The vocabulary goes first and comes back last: on disk, it marks a finished ingest.
+    (outdir / "vocabulary.txt").unlink(missing_ok=True)
     corpus_mod.write_tokens(normalized, outdir / "tokens.csv")
     corpus_mod.write_booldocs(booldocs, outdir / "booldocs.csv")
+    corpus_mod.write_vocabulary(vocab, outdir / "vocabulary.txt")
     print(f"ingest: {len(booldocs)} documents, vocabulary {len(vocab)}")
 
 
 def cmd_train(config: RunConfig) -> None:
     outdir = Path(config.output_dir)
     vocab = _read_vocab(outdir)
-    docs = corpus_mod.read_booldocs(_require(outdir / "booldocs.csv", "boolean documents"), len(vocab))
-    params = config.tm_params()
-    # An ingest stopped between its writes leaves files of two runs side by side.
     token_docs = corpus_mod.read_tokens(_require(outdir / "tokens.csv", "token table"))
-    ingested = [(doc_id, label, corpus_mod.booleanize(tokens, vocab).tobytes()) for doc_id, label, tokens in token_docs]
-    if [(d.doc_id, d.label, d.bits.tobytes()) for d in docs] != ingested:
-        raise ValueError("booldocs.csv does not match tokens.csv and vocabulary.txt (re-run ingest)")
-    model = tsetlin.TMModel.create(params, len(vocab), vocab_hash=vocab.sha256())
+    docs = [corpus_mod.BoolDoc(doc_id, label, corpus_mod.booleanize(tokens, vocab))
+            for doc_id, label, tokens in token_docs]
+    model = tsetlin.TMModel.create(config.tm_params(), len(vocab), vocab_hash=vocab.sha256())
     model, trace = tsetlin.fit(model, docs, epochs=config.epochs)
     model.save(outdir / "model.tm")
     tsetlin.write_clause_dump(tsetlin.extract_clauses(model, vocab), outdir / "clauses.csv")
@@ -296,7 +298,7 @@ STAGES: dict[str, tuple[Callable[..., None], str, tuple[str, ...]]] = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="tmnovelty", description=__doc__)
+    parser = argparse.ArgumentParser(prog="tmnovelty", description="Word-level novelty scoring with a Tsetlin machine.")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, settings) in STAGES.items():
         p = sub.add_parser(name, help=help_text)

@@ -97,15 +97,14 @@ def parse_config(text: str, base: RunConfig | None = None) -> RunConfig:
 def parse_setting(key: str, text: str, name: str = "") -> object:
     """The value ``text`` spells for setting ``key``, of its field's type; a refusal calls the setting ``name``.
 
-    ``none`` unsets an optional setting; one that must be set refuses it, and
-    an empty text too.  ``name`` is the config key unless given.
+    ``none`` unsets an optional setting; one that must be set refuses it.
+    Every setting refuses empty text.  ``name`` is the config key unless given.
     """
     name = name or f"config key {key!r}"
     kind, *rest = typing.get_args(_TYPES[key]) or (_TYPES[key],)
-    optional = type(None) in rest
-    if text == "none" and optional:
+    if text == "none" and type(None) in rest:
         return None
-    if text == "none" or (not text and not optional):
+    if text in ("none", ""):
         raise ValueError(f"{name} cannot be {text or 'empty'}")
     if kind is bool:
         if text.lower() not in _BOOLS:

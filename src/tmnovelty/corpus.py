@@ -1,10 +1,12 @@
 """Corpus ingestion: tokenization, stemming, vocabulary and boolean encoding.
 
-Documents arrive as raw text in one of two layouts (one directory per class,
-or a CSV with doc_id/label/text columns), get normalized into token lists,
-and are encoded as presence/absence bit vectors over a lexicographically
-sorted vocabulary.  Everything here is deterministic: identical inputs and
-parameters produce bit-identical vocabularies and bit vectors.
+Documents arrive as raw text in one of three layouts (one directory per
+class, a folder per topic, or a CSV with doc_id/label/text columns), get
+normalized into token lists, and are encoded as presence/absence bit vectors
+over a lexicographically sorted vocabulary.  On disk, the token lists and the
+vocabulary are the corpus; the bit vectors are written beside them for other
+tools and never read back.  Everything here is deterministic: identical
+inputs and parameters produce bit-identical vocabularies and bit vectors.
 """
 
 from __future__ import annotations
@@ -303,19 +305,6 @@ def read_vocabulary(path: str | Path) -> Vocabulary:
 def write_booldocs(docs: Iterable[BoolDoc], path: str | Path) -> None:
     rows = ((doc.doc_id, doc.label.value, ";".join(map(str, np.flatnonzero(doc.bits).tolist()))) for doc in docs)
     write_csv(path, ("doc_id", "label", "set_bits"), rows)
-
-
-def read_booldocs(path: str | Path, vocab_size: int) -> list[BoolDoc]:
-    """Read bit vectors back; every set bit must be an integer in [0, vocab_size)."""
-    docs: list[BoolDoc] = []
-    for row in _csv_rows(path, ("doc_id", "label", "set_bits")):
-        fields = row["set_bits"].split(";") if row["set_bits"] else []
-        if not all(f.isdecimal() and int(f) < vocab_size for f in fields):
-            raise ValueError(f"document {row['doc_id']!r}: set_bits must be integers in [0, {vocab_size})")
-        bits = np.zeros(vocab_size, dtype=bool)
-        bits[[int(f) for f in fields]] = True
-        docs.append(BoolDoc(row["doc_id"], Label.parse(row["label"]), bits))
-    return docs
 
 
 def write_tokens(docs: Iterable[tuple[str, Label, Sequence[str]]], path: str | Path) -> None:

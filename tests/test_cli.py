@@ -18,10 +18,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tmnovelty import cli, novelty, tsetlin
+from tmnovelty import _files, cli, novelty, tsetlin
 from tmnovelty.cli import EXIT_MISSING, EXIT_OK, EXIT_VALIDATION, build_parser, main
 from tmnovelty.config import RunConfig, parse_config, serialize_config
-from tmnovelty.corpus import Label, Vocabulary, read_tokens, read_vocabulary, write_tokens, write_vocabulary
+from tmnovelty.corpus import (
+    Label, Vocabulary, booleanize, read_tokens, read_vocabulary, write_tokens, write_vocabulary,
+)
 
 from helpers import CASE_STUDY_WORDS, case_study_model, case_study_vocab, traced_peak
 
@@ -118,6 +120,36 @@ def read_csv(path):
         return list(csv.reader(fh))
 
 
+class TestBoolDocsFile:
+    """``ingest`` writes ``booldocs.csv`` for other tools; no stage reads it."""
+
+    @pytest.mark.parametrize("min_df", ["1", "2"])
+    def test_each_row_is_its_token_row_booleanized(self, tmp_path, corpus_dirs, min_df):
+        out = tmp_path / "out"
+        assert main(["ingest", *corpus_flags(corpus_dirs), "--min-df", min_df, "--out", str(out)]) == EXIT_OK
+        vocab = read_vocabulary(out / "vocabulary.txt")
+        expected = [
+            [doc_id, label.value, ";".join(str(i) for i, bit in enumerate(booleanize(tokens, vocab)) if bit)]
+            for doc_id, label, tokens in read_tokens(out / "tokens.csv")
+        ]
+        assert read_csv(out / "booldocs.csv") == [["doc_id", "label", "set_bits"], *expected]
+
+    @pytest.mark.parametrize("damage", ["deleted", "garbled"])
+    def test_train_does_not_read_it(self, tmp_path, corpus_dirs, damage):
+        run = small_run(tmp_path, corpus_dirs)
+        out = tmp_path / "out"
+        assert main(["ingest", *run["ingest"]]) == EXIT_OK
+        assert main(["train", *run["train"]]) == EXIT_OK
+        trained = (out / "model.tm").read_bytes()
+        if damage == "deleted":
+            (out / "booldocs.csv").unlink()
+        else:
+            (out / "booldocs.csv").write_bytes(b"\xff\xfe,\"\nset_bits;-1\n")
+        (out / "model.tm").unlink()
+        assert main(["train", *run["train"]]) == EXIT_OK
+        assert (out / "model.tm").read_bytes() == trained
+
+
 class TestCsvFields:
     """Any doc id and any document length survive every stage's CSV round trip."""
 
@@ -187,8 +219,8 @@ class TestMalformedCsv:
         "name,row,stage,product",
         [("tokens.csv", "x,known,cricket six,ball\n", "tfidf", "tfidf.csv"),
          ("tokens.csv", "x,known\n", "tfidf", "tfidf.csv"),
-         ("booldocs.csv", "x,known,0;1,2\n", "train", "model.tm")],
-        ids=["tokens-long", "tokens-short", "booldocs-long"],
+         ("tokens.csv", "x,known,cricket,six ball\n", "train", "model.tm")],
+        ids=["tokens-long", "tokens-short", "train-tokens-long"],
     )
     def test_stage_row_of_another_width_than_the_header(self, tmp_path, corpus_dirs, capsys, name, row, stage, product):
         out = self.ingested(tmp_path, corpus_dirs, capsys)
@@ -226,8 +258,8 @@ class TestMalformedCsv:
 
     @pytest.mark.parametrize(
         "name,stage,product",
-        [("tokens.csv", "tfidf", "tfidf.csv"), ("booldocs.csv", "train", "model.tm")],
-        ids=["tokens", "booldocs"],
+        [("tokens.csv", "tfidf", "tfidf.csv"), ("tokens.csv", "train", "model.tm")],
+        ids=["tokens", "train-tokens"],
     )
     def test_stage_header_repeating_a_column(self, tmp_path, corpus_dirs, capsys, name, stage, product):
         out = self.ingested(tmp_path, corpus_dirs, capsys)
@@ -425,20 +457,14 @@ class TestExitCodes:
         assert re.search(r"20000000000 clauses per class over \d+ features need [\d.]+ GiB", one_line_error(capsys))
         assert not (tmp_path / "out" / "model.tm").exists()
 
-    @pytest.mark.parametrize("bad_bit", ["-1", "vocab_size", "x"])
-    def test_train_rejects_bad_bit_index(self, tmp_path, corpus_dirs, capsys, bad_bit):
+    def test_train_without_a_token_table_is_missing_input(self, tmp_path, corpus_dirs, capsys):
         run = small_run(tmp_path, corpus_dirs)
-        assert main(["ingest", *run["ingest"]]) == EXIT_OK
-        capsys.readouterr()
         out = tmp_path / "out"
-        if bad_bit == "vocab_size":
-            bad_bit = str(len(read_vocabulary(out / "vocabulary.txt")))
-        lines = (out / "booldocs.csv").read_text("utf-8").splitlines(keepends=True)
-        doc_id, label, _ = lines[1].split(",")
-        lines[1] = f"{doc_id},{label},0;{bad_bit}\n"
-        (out / "booldocs.csv").write_text("".join(lines), "utf-8")
-        assert main(["train", *run["train"]]) == EXIT_VALIDATION
-        assert repr(doc_id) in one_line_error(capsys)
+        assert main(["ingest", *run["ingest"]]) == EXIT_OK
+        (out / "tokens.csv").unlink()
+        capsys.readouterr()
+        assert main(["train", *run["train"]]) == EXIT_MISSING
+        assert one_line_error(capsys) == f"error: token table not found: {out / 'tokens.csv'}\n"
         assert not (out / "model.tm").exists()
 
     def test_train_refuses_an_empty_vocabulary(self, tmp_path, corpus_dirs, capsys):
@@ -475,28 +501,6 @@ class TestExitCodes:
         code = main(["describe", *run["describe"]])
         assert code == EXIT_VALIDATION
         assert "hash mismatch" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("copied", [("vocabulary.txt",), ("vocabulary.txt", "tokens.csv")],
-                             ids=["vocabulary", "vocabulary-tokens"])
-    def test_train_refuses_the_files_of_two_ingests(self, tmp_path, corpus_dirs, capsys, copied):
-        # An ingest stopped partway leaves the new corpus's first files beside
-        # the old bit vectors, whose indices still fit the grown vocabulary.
-        run = small_run(tmp_path, corpus_dirs)
-        out, second = tmp_path / "out", tmp_path / "second"
-        assert main(["ingest", *run["ingest"]]) == EXIT_OK
-        for i, text in enumerate(["aardvark abacus", "abacus abbey", "aardvark abbey"]):
-            (corpus_dirs[1] / f"extra{i}.txt").write_text(text, "utf-8")
-        assert main(["ingest", *corpus_flags(corpus_dirs), "--out", str(second)]) == EXIT_OK
-        assert len(read_vocabulary(second / "vocabulary.txt")) == len(read_vocabulary(out / "vocabulary.txt")) + 3
-        for name in copied:
-            (out / name).write_bytes((second / name).read_bytes())
-        capsys.readouterr()
-        assert main(["train", *run["train"]]) == EXIT_VALIDATION
-        assert "booldocs.csv does not match tokens.csv and vocabulary.txt" in one_line_error(capsys)
-        assert not (out / "model.tm").exists()
-        for name in ("vocabulary.txt", "tokens.csv", "booldocs.csv"):  # the second ingest, complete
-            (out / name).write_bytes((second / name).read_bytes())
-        assert main(["train", *run["train"]]) == EXIT_OK
 
     def test_eval_of_a_label_too_small_to_split(self, tmp_path, capsys):
         corpus = tmp_path / "corpus.csv"
@@ -823,10 +827,10 @@ def _drop_column(text, column):
 
 # (stage, file, edit): each edit breaks the shape of one ingested CSV file.
 CSV_DAMAGE = {
-    "train-no-set_bits": ("train", "booldocs.csv", lambda t: t.replace("set_bits", "bits", 1)),
-    "train-no-label": ("train", "booldocs.csv", lambda t: _drop_column(t, "label")),
-    "train-no-header": ("train", "booldocs.csv", lambda t: ""),
-    "train-short-row": ("train", "booldocs.csv", lambda t: t + "lonely\n"),
+    "train-no-tokens": ("train", "tokens.csv", lambda t: _drop_column(t, "tokens")),
+    "train-no-label": ("train", "tokens.csv", lambda t: _drop_column(t, "label")),
+    "train-no-header": ("train", "tokens.csv", lambda t: ""),
+    "train-short-row": ("train", "tokens.csv", lambda t: t + "lonely\n"),
     "tfidf-no-tokens": ("tfidf", "tokens.csv", lambda t: _drop_column(t, "tokens")),
     "tfidf-no-doc_id": ("tfidf", "tokens.csv", lambda t: t.replace("doc_id", "id", 1)),
     "tfidf-short-row": ("tfidf", "tokens.csv", lambda t: t + "lonely,known\n"),
@@ -895,7 +899,7 @@ def _insert_non_utf8(path):
 NON_UTF8_INPUTS = {
     "vocabulary": ("describe", "vocabulary.txt"),
     "tokens": ("tfidf", "tokens.csv"),
-    "booldocs": ("train", "booldocs.csv"),
+    "train-tokens": ("train", "tokens.csv"),
     "stoplist": ("ingest", "stop.txt"),
     "config": ("ingest", "run.cfg"),
 }
@@ -937,6 +941,15 @@ STAGE_FLAGS = {
 
 
 class TestStageFlags:
+    def test_top_level_help_is_a_line_of_its_own(self, capsys):
+        description = build_parser().description
+        with pytest.raises(SystemExit) as exited:
+            main(["--help"])
+        assert exited.value.code == 0
+        text = capsys.readouterr().out
+        assert "\n" not in description and description in text
+        assert "``" not in text
+
     @pytest.mark.parametrize("stage", STAGE_FLAGS)
     def test_help_lists_only_the_stage_flags(self, capsys, stage):
         with pytest.raises(SystemExit) as exited:
@@ -1007,7 +1020,7 @@ class TestStageRecord:
     @pytest.mark.parametrize(
         "stage,flags,damaged",
         [
-            ("train", ["--clauses", "32"], "booldocs.csv"),
+            ("train", ["--clauses", "32"], "tokens.csv"),
             ("eval", ["--seed", "2"], "tokens.csv"),
         ],
         ids=["train", "eval"],
@@ -1030,8 +1043,8 @@ SETTING_TEXTS = [
     ("ingest", "known_dir", "--known-dir", "{known}", None),
     ("ingest", "novel_dir", "--novel-dir", "{novel}", None),
     ("ingest", "data_root", "--data-root", "none", None),
-    ("ingest", "known_groups", "--known-groups", "cricket;football", None),
-    ("ingest", "novel_groups", "--novel-groups", "rugby", None),
+    ("ingest", "known_groups", "--known-groups", "known;", None),
+    ("ingest", "novel_groups", "--novel-groups", "novel", None),
     ("ingest", "csv_path", "--csv-path", "none", None),
     ("ingest", "stoplist_path", "--stoplist", "none", None),
     ("ingest", "stemming", "--no-stemming", "false", None),
@@ -1055,6 +1068,8 @@ def test_a_flag_means_what_its_config_line_means(tmp_path, corpus_dirs, capsys, 
     base = {"ingest": {"known_dir": known, "novel_dir": novel},
             "train": {"clauses": 16, "vote_margin": 5, "sensitivity": 3.0, "state_count": 16, "epochs": 2},
             "eval": {}}[stage]
+    if key.endswith("_groups"):  # group lists are read only from a grouped tree
+        base = {"data_root": known.parent, "known_groups": "known", "novel_groups": "novel"}
     lines = "".join(f"{k} = {v}\n" for k, v in base.items() if k != key)
     run = small_run(tmp_path, corpus_dirs)
     for earlier in ("ingest", "train")[: ("ingest", "train", "eval").index(stage)]:
@@ -1103,6 +1118,29 @@ def test_out_naming_no_directory_is_refused(tmp_path, monkeypatch, capsys, flags
     assert main(["describe", "--config", "run.cfg", *flags]) == EXIT_VALIDATION
     assert one_line_error(capsys) == f"error: {message}\n"
     assert os.listdir(tmp_path) == ["run.cfg"]
+
+
+EMPTY_TEXT_SETTINGS = {"csv_path": "--csv-path", "known_dir": "--known-dir", "stoplist_path": "--stoplist",
+                       "max_features": "--max-features"}
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("key,flag", EMPTY_TEXT_SETTINGS.items(), ids=EMPTY_TEXT_SETTINGS.keys())
+def test_empty_text_is_refused(tmp_path, corpus_dirs, capsys, key, flag, source):
+    # Empty text is neither none nor a value, for a setting that may be unset too.
+    config = tmp_path / "run.cfg"
+    config.write_text(f"{key} =\n", "utf-8")
+    known, novel = corpus_dirs
+    flags = {"--known-dir": str(known), "--novel-dir": str(novel), flag: ""}
+    message = f"{flag} cannot be empty"
+    if source == "config":
+        del flags[flag]
+        flags["--config"] = str(config)
+        message = f"malformed config: config key {key!r} cannot be empty (line 1)"
+    out = tmp_path / "out"
+    assert main(["ingest", *(text for pair in flags.items() for text in pair), "--out", str(out)]) == EXIT_VALIDATION
+    assert one_line_error(capsys) == f"error: {message}\n"
+    assert not out.exists()
 
 
 def test_empty_output_dir_environment_is_ignored(tmp_path, monkeypatch, corpus_dirs):
@@ -1158,7 +1196,9 @@ class TestGroupedLayout:
     def test_empty_group_list_is_validation_error(self, tmp_path, grouped_root, capsys, known, novel):
         out = tmp_path / "out"
         assert grouped_ingest(grouped_root, out, known=known, novel=novel) == EXIT_VALIDATION
-        assert "known_groups and novel_groups" in one_line_error(capsys)
+        empty = "--known-groups" if not known else "--novel-groups" if not novel else None
+        message = f"{empty} cannot be empty" if empty else "data_root requires known_groups and novel_groups"
+        assert one_line_error(capsys) == f"error: {message}\n"
         assert not (out / "tokens.csv").exists()
 
 
@@ -1172,6 +1212,20 @@ class TestIngestRefusals:
         out = tmp_path / "out"
         assert grouped_ingest(grouped_root, out, known=known, novel=novel) == EXIT_VALIDATION
         assert f"duplicate doc id in the corpus: {doc_id!r}" in one_line_error(capsys)
+        assert [p.name for p in out.iterdir()] == [".lock"]
+
+    @pytest.mark.parametrize(
+        "source,groups",
+        [("dirs", ["--known-groups", "zzz", "--novel-groups", "yyy"]), ("csv", ["--novel-groups", "rugby"])],
+        ids=["class-dirs", "csv"],
+    )
+    def test_group_lists_without_data_root(self, tmp_path, corpus_dirs, capsys, source, groups):
+        corpus = tmp_path / "corpus.csv"
+        corpus.write_text("doc_id,label,text\na,known,cricket six\nb,novel,rugby old\n", "utf-8")
+        flags = corpus_flags(corpus_dirs) if source == "dirs" else ["--csv-path", str(corpus)]
+        out = tmp_path / "out"
+        assert main(["ingest", *flags, *groups, "--out", str(out)]) == EXIT_VALIDATION
+        assert one_line_error(capsys) == "error: known_groups and novel_groups are read only with data_root\n"
         assert [p.name for p in out.iterdir()] == [".lock"]
 
     def test_csv_duplicate_doc_id(self, tmp_path, capsys):
@@ -1248,6 +1302,39 @@ class TestIngestWritesAllOrNothing:
         assert "vocabulary is empty" in one_line_error(capsys)
         assert snapshot(out) == before
 
+    @pytest.mark.parametrize("failing", ["tokens.csv", "booldocs.csv"])
+    def test_stopped_ingest_leaves_no_vocabulary(self, tmp_path, corpus_dirs, capsys, monkeypatch, failing):
+        # The second ingest's vocabulary grows by three words, so the first
+        # run's bit indices would still fit it.
+        run = small_run(tmp_path, corpus_dirs)
+        out = tmp_path / "out"
+        assert main(["ingest", *run["ingest"]]) == EXIT_OK
+        assert main(["train", *run["train"]]) == EXIT_OK
+        first_size = len(read_vocabulary(out / "vocabulary.txt"))
+        for i, text in enumerate(["aardvark abacus", "abacus abbey", "aardvark abbey"]):
+            (corpus_dirs[1] / f"extra{i}.txt").write_text(text, "utf-8")
+        real_write = _files.atomic_write_bytes
+
+        def disk_full_at(path, data):
+            if Path(path).name == failing:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            real_write(path, data)
+
+        capsys.readouterr()
+        with monkeypatch.context() as patched:
+            patched.setattr(_files, "atomic_write_bytes", disk_full_at)
+            assert main(["ingest", *run["ingest"]]) == EXIT_VALIDATION
+        assert one_line_error(capsys) == f"error: {out / failing}: {os.strerror(errno.ENOSPC)}\n"
+        assert not (out / "vocabulary.txt").exists()
+        later = {"train": run["train"], "describe": run["describe"],
+                 "context": ["--words", "rugby,cricket", *run["describe"]], "eval": run["eval"]}
+        for stage, flags in later.items():
+            assert main([stage, *flags]) == EXIT_MISSING, stage
+            assert one_line_error(capsys) == f"error: vocabulary not found: {out / 'vocabulary.txt'}\n"
+        assert main(["ingest", *run["ingest"]]) == EXIT_OK
+        assert len(read_vocabulary(out / "vocabulary.txt")) == first_size + 3
+        assert main(["train", *run["train"]]) == EXIT_OK
+
 
 class TestByteOrderMark:
     """A UTF-8 byte-order mark, as spreadsheet exports write it, is not part of the first field."""
@@ -1276,16 +1363,15 @@ class TestByteOrderMark:
 
 
 class TestBadUserPath:
-    @pytest.mark.parametrize("kind", ["absent", "directory", "empty"])
+    @pytest.mark.parametrize("kind", ["absent", "directory"])
     def test_stoplist_not_found(self, tmp_path, corpus_dirs, capsys, kind):
         stoplist = tmp_path / "stop"
         if kind == "directory":
             stoplist.mkdir()
-        given = "" if kind == "empty" else str(stoplist)
         out = tmp_path / "out"
-        code = main(["ingest", *corpus_flags(corpus_dirs), "--stoplist", given, "--out", str(out)])
+        code = main(["ingest", *corpus_flags(corpus_dirs), "--stoplist", str(stoplist), "--out", str(out)])
         assert code == EXIT_MISSING
-        assert one_line_error(capsys) == f"error: stoplist not found: {Path(given)}\n"
+        assert one_line_error(capsys) == f"error: stoplist not found: {stoplist}\n"
         assert [p.name for p in out.iterdir()] == [".lock"]
 
     def test_stoplist_none_is_the_bundled_list(self, tmp_path, corpus_dirs):
