@@ -95,11 +95,13 @@ def _undouble(root: str) -> str:
 
 
 def normalize(tokens: Sequence[str], stoplist: frozenset[str] | set[str], stemming: bool = True) -> list[str]:
-    """Drop stopwords, then stem the remaining tokens, preserving order."""
+    """Drop stopwords, then stem the remaining tokens, preserving order.
+
+    Each returned word is interned, so a corpus's token lists share one string
+    per distinct word, whether it came from one raw form or from several.
+    """
     kept = (t for t in tokens if t not in stoplist)
-    if stemming:
-        return [stem(t) for t in kept]
-    return list(kept)
+    return list(map(sys.intern, map(stem, kept) if stemming else kept))
 
 
 def load_stopwords(path: str | Path | None = None) -> frozenset[str]:
@@ -273,10 +275,7 @@ def read_csv_corpus(path: str | Path) -> list[RawDoc]:
     p = Path(path)
     if not p.is_file():
         raise FileNotFoundError(f"corpus CSV not found: {p}")
-    docs = [
-        (row["doc_id"], Label.parse(row["label"]), row["text"])
-        for row in _csv_rows(p, ("doc_id", "label", "text"))
-    ]
+    docs = list(_csv_rows(p, "text"))
     if not docs:
         raise ValueError("empty corpus")
     return docs
@@ -313,22 +312,27 @@ def write_tokens(docs: Iterable[tuple[str, Label, Sequence[str]]], path: str | P
 
 
 def read_tokens(path: str | Path) -> list[tuple[str, Label, list[str]]]:
-    return [
-        (row["doc_id"], Label.parse(row["label"]), row["tokens"].split())
-        for row in _csv_rows(path, ("doc_id", "label", "tokens"))
-    ]
+    """Each document's (doc_id, label, tokens) from a token table, in file order.
+
+    A corpus repeats its words many times over, so each token is interned: the
+    lists hold one shared string per distinct word, not one string per token.
+    """
+    rows = _csv_rows(path, "tokens")
+    return [(doc_id, label, list(map(sys.intern, text.split()))) for doc_id, label, text in rows]
 
 
-def _csv_rows(path: str | Path, columns: Sequence[str]) -> Iterator[dict[str, str]]:
-    """Rows of a CSV file whose header names every given column once; each row has the header's width.
+def _csv_rows(path: str | Path, column: str) -> Iterator[RawDoc]:
+    """(doc_id, label, column) of each row of a CSV file whose header names those columns once.
 
-    Fields may be of any length: a long document's token list is one field.  A
-    leading byte-order mark, as spreadsheet exports write it, is dropped.  A
-    row of another width, an unterminated quote or text after a closing quote
-    is refused, naming the line the row starts on, not read as a shorter or
+    Each row has the header's width.  Fields may be of any length: a long
+    document's token list is one field.  A leading byte-order mark, as
+    spreadsheet exports write it, is dropped.  A row of another width, an
+    unknown label, an unterminated quote or text after a closing quote is
+    refused, naming the line the row starts on, not read as a shorter or
     merged row.
     """
     csv.field_size_limit(sys.maxsize)
+    columns = ("doc_id", "label", column)
     name = Path(path).name
     with Path(path).open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, strict=True)
@@ -346,7 +350,12 @@ def _csv_rows(path: str | Path, columns: Sequence[str]) -> Iterator[dict[str, st
                 if fields:  # a blank line holds no row
                     if len(fields) != len(header):
                         raise ValueError(f"{name} line {line}: {len(fields)} fields, the header has {len(header)}")
-                    yield dict(zip(header, fields))
+                    row = dict(zip(header, fields))
+                    try:
+                        label = Label.parse(row["label"])
+                    except ValueError as err:
+                        raise ValueError(f"{name} line {line}: {err}") from None
+                    yield row["doc_id"], label, row[column]
                 line = reader.line_num + 1
         except csv.Error as err:
             raise ValueError(f"{name} line {line}: {err}") from None

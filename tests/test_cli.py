@@ -247,6 +247,17 @@ class TestMalformedCsv:
         assert one_line_error(capsys) == f"error: tokens.csv line 14: {problem}\n"
         assert not (out / "tfidf.csv").exists()
 
+    @pytest.mark.parametrize("stage,product", [("train", "model.tm"), ("tfidf", "tfidf.csv")])
+    def test_token_row_with_an_unknown_label(self, tmp_path, corpus_dirs, capsys, stage, product):
+        out = self.ingested(tmp_path, corpus_dirs, capsys)
+        with (out / "tokens.csv").open("a", encoding="utf-8") as fh:
+            fh.write("x,maybe,cricket six\n")  # line 14, after the header and 12 documents
+        argv = [stage, *(TRAIN_PARAMS if stage == "train" else []), "--out", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        expected = "error: tokens.csv line 14: unknown label 'maybe'; expected 'known' or 'novel'\n"
+        assert one_line_error(capsys) == expected
+        assert not (out / product).exists()
+
     def test_corpus_header_repeating_a_column(self, tmp_path, capsys):
         # Read as a dict, the last 'label' column would win and swap the classes.
         corpus = tmp_path / "corpus.csv"
@@ -468,15 +479,12 @@ class TestExitCodes:
         assert not (out / "model.tm").exists()
 
     def test_train_refuses_an_empty_vocabulary(self, tmp_path, corpus_dirs, capsys):
-        # A vocabulary with no word and documents with no set bit would train a model of 0 features.
+        # A vocabulary with no word would train a model of 0 features.
         run = small_run(tmp_path, corpus_dirs)
         assert main(["ingest", *run["ingest"]]) == EXIT_OK
         capsys.readouterr()
         out = tmp_path / "out"
         (out / "vocabulary.txt").write_text("", "utf-8")
-        header, *rows = (out / "booldocs.csv").read_text("utf-8").splitlines()
-        emptied = [row.rsplit(",", 1)[0] + "," for row in rows]
-        (out / "booldocs.csv").write_text("\n".join([header, *emptied]) + "\n", "utf-8")
         assert main(["train", *run["train"]]) == EXIT_VALIDATION
         assert "vocabulary.txt: vocabulary holds no word" in one_line_error(capsys)
         assert not (out / "model.tm").exists()
@@ -835,6 +843,9 @@ CSV_DAMAGE = {
     "tfidf-no-doc_id": ("tfidf", "tokens.csv", lambda t: t.replace("doc_id", "id", 1)),
     "tfidf-short-row": ("tfidf", "tokens.csv", lambda t: t + "lonely,known\n"),
     "eval-no-tokens": ("eval", "tokens.csv", lambda t: t.replace("tokens", "words", 1)),
+    "train-bad-label": ("train", "tokens.csv", lambda t: t.replace(",known,", ",maybe,", 1)),
+    "tfidf-bad-label": ("tfidf", "tokens.csv", lambda t: t.replace(",novel,", ",maybe,", 1)),
+    "eval-bad-label": ("eval", "tokens.csv", lambda t: t.replace(",known,", ",maybe,", 1)),
 }
 
 
@@ -1240,7 +1251,7 @@ class TestIngestRefusals:
         "text,flags,message",
         [
             ("doc_id,label,text\na,known,cricket six\nb,maybe,rugby old\n", [],
-             "unknown label 'maybe'; expected 'known' or 'novel'"),
+             "corpus.csv line 3: unknown label 'maybe'; expected 'known' or 'novel'"),
             ("doc_id,label,text\n", [], "empty corpus"),
             ("doc_id,label,text\na,known,cricket six\nb,novel,rugby old\n", ["--min-df", "0"], "min_df must be >= 1"),
         ],

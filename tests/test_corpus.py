@@ -104,6 +104,15 @@ class TestNormalize:
         assert [stem(t) for t in tokens[:4]] == ["hit", "run", "fall", "miss"]
         assert normalize(tokens, stoplist, stemming=False) == [t for t in tokens if t not in stoplist]
 
+    @pytest.mark.parametrize("stemming", [True, False], ids=["stemmed", "unstemmed"])
+    def test_each_word_is_one_shared_string(self, stemming):
+        # Each tokenize call makes a new string per token; with stemming,
+        # "matches" and "matched" give one word from two raw forms.
+        text = "cricket matches matched cricket the ball matches cricket"
+        docs = [normalize(tokenize(text), {"the"}, stemming=stemming) for _ in range(3)]
+        tokens = [t for doc in docs for t in doc]
+        assert len({id(t) for t in tokens}) == len(set(tokens)) == (3 if stemming else 4)
+
     def test_bundled_stoplist_loads(self):
         stoplist = load_stopwords()
         assert "the" in stoplist and "cricket" not in stoplist
@@ -284,6 +293,19 @@ class TestLoadersAndExports:
         write_tokens(rows, path)
         loaded = read_tokens(path)
         assert loaded == [("d1", Label.KNOWN, ["a", "b"]), ("d2", Label.NOVEL, ["c"])]
+
+    def test_read_tokens_shares_one_string_per_word(self, tmp_path):
+        rows = [
+            ("d1", Label.KNOWN, ["cricket", "ball", "cricket", "six"]),
+            ("d2", Label.NOVEL, ["rugby", "ball", "rugby"]),
+            ("d3", Label.KNOWN, ["ball", "cricket", "six", "ball"]),
+        ]
+        path = tmp_path / "tokens.csv"
+        write_tokens(rows, path)
+        loaded = read_tokens(path)
+        assert loaded == rows
+        tokens = [t for _, _, doc in loaded for t in doc]
+        assert len({id(t) for t in tokens}) == len(set(tokens)) == 4
 
     def test_write_csv_quotes_exactly_the_fields_that_need_it(self, tmp_path):
         texts = ["a,b", 'say "hi"', "cr\rlf", "nl\nx", "plain", ""]

@@ -115,7 +115,7 @@ def _load_faults() -> dict:
 
 FAULTS = _load_faults()
 # Faults whose anchor text left the source in a rewrite; the benchmark still lists them.
-GONE = pytest.mark.xfail(reason="anchor gone; ROADMAP item 2", strict=False)
+GONE = pytest.mark.xfail(reason="anchor gone; ROADMAP item 2")
 
 
 @pytest.mark.parametrize(
