@@ -47,6 +47,7 @@ from .tsetlin import (
     TMParams,
     extract_clauses,
     fit,
+    train_epochs,
 )
 
 __version__ = "0.1.0"
@@ -87,4 +88,5 @@ __all__ = [
     "summary_stats",
     "tfidf_scores",
     "tokenize",
+    "train_epochs",
 ]

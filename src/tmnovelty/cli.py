@@ -48,8 +48,10 @@ EXIT_MISSING = 2
 
 
 @contextmanager
-def _output_lock(outdir: Path):
+def _output_lock(outdir: Path, create: bool):
     """Hold the ``flock`` on ``<out>/.lock``; the file stays, as unlinking it would let two stages lock two inodes."""
+    if not (create or outdir.exists()):  # only ingest makes it: every other stage reads its inputs from there
+        raise FileNotFoundError(f"output directory not found: {outdir}")
     try:
         outdir.mkdir(parents=True, exist_ok=True)
     except (FileExistsError, NotADirectoryError):
@@ -87,7 +89,7 @@ def _build_config(args: argparse.Namespace) -> RunConfig:
 
 
 def _load_raw_corpus(config: RunConfig) -> list[corpus_mod.RawDoc]:
-    """The one configured corpus source, read; its doc ids must be distinct."""
+    """The one configured corpus source, read; a source that repeats a doc id is refused where it is read."""
     given = {"csv_path": config.csv_path, "data_root": config.data_root,
              "known_dir/novel_dir": config.known_dir or config.novel_dir}
     sources = [name for name, value in given.items() if value]
@@ -107,11 +109,6 @@ def _load_raw_corpus(config: RunConfig) -> list[corpus_mod.RawDoc]:
         raw = corpus_mod.read_class_dirs(config.known_dir, config.novel_dir)
     else:
         raise ValueError("no corpus source configured (need known_dir+novel_dir, data_root, or csv_path)")
-    seen: set[str] = set()
-    for doc_id, _, _ in raw:
-        if doc_id in seen:
-            raise ValueError(f"duplicate doc id in the corpus: {doc_id!r}")
-        seen.add(doc_id)
     return raw
 
 
@@ -260,6 +257,8 @@ def cmd_eval(config: RunConfig) -> None:
         write_csv(outdir / f"pr_{method}.csv", ("recall", "precision"), result.curves.pr_points)
     for name, points in cfd_curves.items():
         write_csv(outdir / f"cfd_{name}.csv", ("score", "cumulative_fraction"), points)
+    for name in by_category.keys() - cfd_curves.keys():  # an empty category: its last run's file must go
+        (outdir / f"cfd_{name}.csv").unlink(missing_ok=True)
     print(f"eval: AUC tm={tm_result.curves.auc:.4f} tfidf={tfidf_result.curves.auc:.4f}")
 
 
@@ -320,7 +319,7 @@ def main(argv: list[str] | None = None) -> int:
         config = _build_config(args)
         outdir = Path(config.output_dir)
         run, _, settings = STAGES[args.command]
-        with _output_lock(outdir):
+        with _output_lock(outdir, create=args.command == "ingest"):
             if args.command == "context":
                 run(config, args.words, Label.parse(args.target_class))
             else:

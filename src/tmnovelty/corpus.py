@@ -259,6 +259,9 @@ def read_grouped_dirs(
     Fits both the sports-article layout (root/<category>/*.txt) and the
     newsgroup layout (root/<group>/<article files>).
     """
+    repeated = [group for group, n in Counter([*known_groups, *novel_groups]).items() if n > 1]
+    if repeated:
+        raise ValueError(f"group(s) named more than once: {', '.join(repeated)}")
     rootp = Path(root)
     if not rootp.is_dir():
         raise FileNotFoundError(f"corpus root not found: {rootp}")
@@ -327,13 +330,14 @@ def _csv_rows(path: str | Path, column: str) -> Iterator[RawDoc]:
     Each row has the header's width.  Fields may be of any length: a long
     document's token list is one field.  A leading byte-order mark, as
     spreadsheet exports write it, is dropped.  A row of another width, an
-    unknown label, an unterminated quote or text after a closing quote is
-    refused, naming the line the row starts on, not read as a shorter or
-    merged row.
+    unknown label, a repeated doc id, an unterminated quote or text after a
+    closing quote is refused, naming the line the row starts on, not read as
+    a shorter or merged row.
     """
     csv.field_size_limit(sys.maxsize)
     columns = ("doc_id", "label", column)
     name = Path(path).name
+    seen: set[str] = set()
     with Path(path).open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh, strict=True)
         line = 1  # where the record being read starts
@@ -355,6 +359,9 @@ def _csv_rows(path: str | Path, column: str) -> Iterator[RawDoc]:
                         label = Label.parse(row["label"])
                     except ValueError as err:
                         raise ValueError(f"{name} line {line}: {err}") from None
+                    if row["doc_id"] in seen:
+                        raise ValueError(f"{name} line {line}: duplicate doc id in the corpus: {row['doc_id']!r}")
+                    seen.add(row["doc_id"])
                     yield row["doc_id"], label, row[column]
                 line = reader.line_num + 1
         except csv.Error as err:

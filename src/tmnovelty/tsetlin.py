@@ -51,9 +51,10 @@ import json
 import math
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
@@ -483,21 +484,22 @@ def classify_batch(model: TMModel, bits_matrix: np.ndarray) -> np.ndarray:
     return sums[Label.NOVEL] > sums[Label.KNOWN]
 
 
-def fit(
-    model: TMModel,
-    docs: Sequence[BoolDoc],
-    epochs: int,
-    early_stop_accuracy: float | None = None,
-) -> tuple[TMModel, list[float]]:
-    """Train in place over shuffled epochs; returns the model and accuracy trace.
-
-    ``early_stop_accuracy`` ends training once the post-epoch training
-    accuracy reaches the given level (the trace keeps what was recorded).
-    """
+def fit(model: TMModel, docs: Sequence[BoolDoc], epochs: int) -> tuple[TMModel, list[float]]:
+    """Train in place for ``epochs`` shuffled epochs; returns the model and its accuracy trace."""
     if epochs < 1:
         raise ValueError("epochs must be >= 1")
-    labels = {doc.label for doc in docs}
-    if labels != {Label.KNOWN, Label.NOVEL}:
+    with closing(train_epochs(model, docs)) as steps:
+        return model, list(islice(steps, epochs))
+
+
+def train_epochs(model: TMModel, docs: Sequence[BoolDoc]) -> Iterator[float]:
+    """Train in place one shuffled epoch per step, yielding that epoch's training accuracy.
+
+    Training goes on while the caller iterates, and the input checks run at
+    the first step.  Nothing is pending between steps: closing the iterator
+    (``contextlib.closing``) ends its worker threads at once.
+    """
+    if {doc.label for doc in docs} != {Label.KNOWN, Label.NOVEL}:
         raise ValueError("both classes required")
     for doc in docs:
         if doc.bits.shape[-1] != model.feature_count:
@@ -517,10 +519,9 @@ def fit(
     # per bank; the draws stay on this thread, in the serial order.
     threaded = max(bank.state.nbytes for bank in order_banks) > _THREAD_BYTES
     pending: list[Future | None] = [None] * len(order_banks)
-    trace: list[float] = []
     workers = ThreadPoolExecutor(len(order_banks), thread_name_prefix="tmnovelty-feedback") if threaded else None
     with workers or nullcontext() as pool:
-        for _ in range(epochs):
+        while True:
             for d in rng.permutation(len(docs)):
                 target = int(is_novel[d])
                 for k, toward in ((target, True), (1 - target, False)):
@@ -529,11 +530,7 @@ def fit(
                     apply = (bank, lits_matrix[d], *_draw_feedback(bank, not_packed[d], toward, margin, s, rng))
                     pending[k] = pool.submit(_apply_feedback, *apply) if pool else _apply_feedback(*apply)
             _settle(*pending)
-            accuracy = float(np.mean(classify_batch(model, bits_matrix) == is_novel))
-            trace.append(accuracy)
-            if early_stop_accuracy is not None and accuracy >= early_stop_accuracy:
-                break
-    return model, trace
+            yield float(np.mean(classify_batch(model, bits_matrix) == is_novel))
 
 
 def _settle(*futures: Future | None) -> None:

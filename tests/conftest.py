@@ -1,6 +1,9 @@
 """Per-criterion pass/fail reporting for the acceptance suite."""
 
 import re
+import threading
+
+import pytest
 
 CRITERIA = {
     1: "case-study golden bags, frequencies, and scores",
@@ -12,6 +15,17 @@ CRITERIA = {
     7: "determinism and randomized property suite",
     8: "real-dataset loaders and full profile (smoke only)",
 }
+
+
+@pytest.fixture(autouse=True)
+def no_worker_thread_left():
+    """Fail a test that leaves a ``tmnovelty-*`` worker thread of its own alive."""
+    before = set(threading.enumerate())
+    yield
+    leaked = [t.name for t in threading.enumerate() if t not in before and t.name.startswith("tmnovelty-")]
+    if leaked:
+        pytest.fail(f"worker thread(s) left alive: {', '.join(sorted(leaked))}")
+
 
 _NODE_RE = re.compile(r"test_acceptance\.py::.*test_c(\d+)")
 _outcomes: dict[int, list[tuple[str, str]]] = {}

@@ -114,6 +114,21 @@ class TestPipeline:
         assert main(["train", *TRAIN_PARAMS, "--epochs", "10", "--seed", "7", "--out", str(out)]) == EXIT_OK
         assert (out / "model.tm").read_bytes() == before
 
+    def test_eval_keeps_a_cfd_file_only_for_each_category_it_reports(self, tmp_path, corpus_dirs):
+        out = run_pipeline(tmp_path, corpus_dirs)
+
+        def cfd_names():
+            report = json.loads((out / "report.json").read_text("utf-8"))
+            return sorted(report["cfd"]), sorted(p.name.removeprefix("cfd_").removesuffix(".csv")
+                                                 for p in out.glob("cfd_*.csv"))
+
+        assert cfd_names() == (["known_only", "novel_only", "shared"],) * 2
+        # Two clauses share no word, so the rerun's shared category is empty.
+        tiny = ["--clauses", "2", "--vote-margin", "1", "--sensitivity", "2", "--epochs", "5", "--seed", "0"]
+        assert main(["train", *tiny, "--out", str(out)]) == EXIT_OK
+        assert main(["eval", "--seed", "7", "--out", str(out)]) == EXIT_OK
+        assert cfd_names() == (["known_only", "novel_only"],) * 2
+
 
 def read_csv(path):
     with path.open(newline="", encoding="utf-8") as fh:
@@ -247,15 +262,20 @@ class TestMalformedCsv:
         assert one_line_error(capsys) == f"error: tokens.csv line 14: {problem}\n"
         assert not (out / "tfidf.csv").exists()
 
+    @pytest.mark.parametrize(
+        "row,problem",
+        [("x,maybe,cricket six\n", "unknown label 'maybe'; expected 'known' or 'novel'"),
+         ("novel/n5.txt,novel,rugby old\n", "duplicate doc id in the corpus: 'novel/n5.txt'")],
+        ids=["unknown-label", "repeated-doc-id"],
+    )
     @pytest.mark.parametrize("stage,product", [("train", "model.tm"), ("tfidf", "tfidf.csv")])
-    def test_token_row_with_an_unknown_label(self, tmp_path, corpus_dirs, capsys, stage, product):
+    def test_refused_token_row(self, tmp_path, corpus_dirs, capsys, stage, product, row, problem):
         out = self.ingested(tmp_path, corpus_dirs, capsys)
         with (out / "tokens.csv").open("a", encoding="utf-8") as fh:
-            fh.write("x,maybe,cricket six\n")  # line 14, after the header and 12 documents
+            fh.write(row)  # line 14, after the header and 12 documents
         argv = [stage, *(TRAIN_PARAMS if stage == "train" else []), "--out", str(out)]
         assert main(argv) == EXIT_VALIDATION
-        expected = "error: tokens.csv line 14: unknown label 'maybe'; expected 'known' or 'novel'\n"
-        assert one_line_error(capsys) == expected
+        assert one_line_error(capsys) == f"error: tokens.csv line 14: {problem}\n"
         assert not (out / product).exists()
 
     def test_corpus_header_repeating_a_column(self, tmp_path, capsys):
@@ -846,6 +866,9 @@ CSV_DAMAGE = {
     "train-bad-label": ("train", "tokens.csv", lambda t: t.replace(",known,", ",maybe,", 1)),
     "tfidf-bad-label": ("tfidf", "tokens.csv", lambda t: t.replace(",novel,", ",maybe,", 1)),
     "eval-bad-label": ("eval", "tokens.csv", lambda t: t.replace(",known,", ",maybe,", 1)),
+    "train-repeated-doc-id": ("train", "tokens.csv", lambda t: t + t.splitlines(keepends=True)[1]),
+    "tfidf-repeated-doc-id": ("tfidf", "tokens.csv", lambda t: t + t.splitlines(keepends=True)[-1]),
+    "eval-repeated-doc-id": ("eval", "tokens.csv", lambda t: t + t.splitlines(keepends=True)[1]),
 }
 
 
@@ -1215,14 +1238,14 @@ class TestGroupedLayout:
 
 class TestIngestRefusals:
     @pytest.mark.parametrize(
-        "known,novel,doc_id",
-        [("cricket;rugby", "rugby", "rugby/000.txt"), ("cricket;cricket", "rugby", "cricket/000.txt")],
+        "known,novel,group",
+        [("cricket;rugby", "rugby", "rugby"), ("cricket;cricket", "rugby", "cricket")],
         ids=["group-on-both-sides", "group-twice"],
     )
-    def test_grouped_duplicate_doc_id(self, tmp_path, grouped_root, capsys, known, novel, doc_id):
+    def test_grouped_duplicate_doc_id(self, tmp_path, grouped_root, capsys, known, novel, group):
         out = tmp_path / "out"
         assert grouped_ingest(grouped_root, out, known=known, novel=novel) == EXIT_VALIDATION
-        assert f"duplicate doc id in the corpus: {doc_id!r}" in one_line_error(capsys)
+        assert one_line_error(capsys) == f"error: group(s) named more than once: {group}\n"
         assert [p.name for p in out.iterdir()] == [".lock"]
 
     @pytest.mark.parametrize(
@@ -1569,6 +1592,7 @@ class TestOutputLock:
 
     def test_stage_holds_the_lock_while_it_runs_and_frees_it_after(self, tmp_path, monkeypatch):
         out = tmp_path / "out"
+        out.mkdir()
         seen = []
         monkeypatch.setitem(cli.STAGES, "tfidf", (lambda config: seen.append(self.lock_is_free(out)), "", ()))
         assert main(["tfidf", "--out", str(out)]) == EXIT_OK
@@ -1577,6 +1601,7 @@ class TestOutputLock:
 
     def test_refused_stage_frees_the_lock(self, tmp_path):
         out = tmp_path / "out"
+        out.mkdir()
         assert main(["eval", "--out", str(out)]) == EXIT_MISSING
         assert self.lock_is_free(out)
 
@@ -1598,9 +1623,17 @@ class TestOutputLock:
         assert self.ingest(corpus_dirs, out) == EXIT_OK
         assert (out / "vocabulary.txt").is_file()
 
+    @pytest.mark.parametrize("stage", ["train", "describe", "context", "tfidf", "eval"])
+    def test_read_stage_creates_no_missing_output_directory(self, tmp_path, capsys, stage):
+        out = tmp_path / "typo" / "nested" / "run"
+        flags = ["--words", "rugby"] if stage == "context" else []
+        assert main([stage, *flags, "--out", str(out)]) == EXIT_MISSING
+        assert one_line_error(capsys) == f"error: output directory not found: {out}\n"
+        assert os.listdir(tmp_path) == []
+
     def test_output_directory_that_cannot_be_created(self, tmp_path, capsys):
         out = tmp_path / ("x" * 300)  # longer than a file name may be
-        assert main(["tfidf", "--out", str(out)]) == EXIT_VALIDATION
+        assert main(["ingest", "--out", str(out)]) == EXIT_VALIDATION  # the one stage that creates it
         assert one_line_error(capsys) == f"error: {out}: File name too long\n"
 
     def test_lock_that_is_a_directory(self, tmp_path, corpus_dirs, capsys):

@@ -3,6 +3,8 @@
 import os
 import sys
 import threading
+from contextlib import closing
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from tmnovelty.tsetlin import (
     include_counts,
     literal_vector,
     pack_bits,
+    train_epochs,
     write_clause_dump,
 )
 
@@ -442,8 +445,7 @@ class TestFit:
     def test_single_feature_converges(self):
         docs = self.make_docs([((True,), Label.NOVEL), ((False,), Label.KNOWN)])
         model = TMModel.create(small_params(clause_count=8, vote_margin=3), 1)
-        _, trace = fit(model, docs, epochs=20, early_stop_accuracy=1.0)
-        assert trace[-1] == 1.0
+        assert 1.0 in islice(train_epochs(model, docs), 20)
 
     def test_epochs_zero_rejected(self):
         docs = self.make_docs([((True,), Label.NOVEL), ((False,), Label.KNOWN)])
@@ -911,7 +913,7 @@ class TestThreadedFeedback:
         with pytest.raises(RuntimeError, match="on a worker"):
             fit(model, _random_docs(1, 10, 30, density=0.3), epochs=1)
         assert threading.active_count() == before
-        assert not [t for t in threading.enumerate() if t.name.startswith("tmnovelty-feedback")]
+        assert not _feedback_threads()
 
     def test_desk_size_fit_starts_no_thread(self, monkeypatch):
         before = threading.active_count()
@@ -939,6 +941,43 @@ class TestThreadedFeedback:
         model.save(tmp_path / "a.tm")
         loaded.save(tmp_path / "b.tm")
         assert (tmp_path / "a.tm").read_bytes() == (tmp_path / "b.tm").read_bytes()
+
+
+def _feedback_threads() -> list[threading.Thread]:
+    return [t for t in threading.enumerate() if t.name.startswith("tmnovelty-feedback")]
+
+
+class TestTrainEpochs:
+    """``train_epochs`` trains one epoch a step, and the caller decides when to stop."""
+
+    @pytest.mark.parametrize("threaded", [False, True], ids=["serial", "threaded"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_stopping_after_k_epochs_is_fit_of_k_epochs(self, tmp_path, monkeypatch, seed, threaded):
+        if threaded:
+            monkeypatch.setattr(tsetlin, "_THREAD_BYTES", 0)
+        docs = _random_docs(seed, 16, 60, density=0.2)
+        params = small_params(clause_count=20, seed=seed)
+        for k in (1, 2, 3):
+            stopped, trace = TMModel.create(params, 60), []
+            with closing(train_epochs(stopped, docs)) as epochs:
+                for accuracy in epochs:
+                    trace.append(accuracy)
+                    if len(trace) == k:
+                        break
+            fitted, fit_trace = fit(TMModel.create(params, 60), docs, epochs=k)
+            assert trace == fit_trace
+            stopped.save(tmp_path / "stopped.tm")
+            fitted.save(tmp_path / "fitted.tm")
+            assert (tmp_path / "stopped.tm").read_bytes() == (tmp_path / "fitted.tm").read_bytes(), k
+
+    def test_closing_the_iterator_mid_run_ends_its_worker_threads(self, monkeypatch):
+        monkeypatch.setattr(tsetlin, "_THREAD_BYTES", 0)
+        model = TMModel.create(small_params(clause_count=12), 30)
+        epochs = train_epochs(model, _random_docs(1, 10, 30, density=0.3))
+        next(epochs)
+        assert _feedback_threads()
+        epochs.close()
+        assert not _feedback_threads()
 
 
 class TestFitMemory:
