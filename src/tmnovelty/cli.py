@@ -166,12 +166,16 @@ def cmd_ingest(config: RunConfig) -> None:
 
 
 def cmd_train(config: RunConfig) -> None:
+    # The settings are checked before any input is read or a model allocated.
+    params = config.tm_params()
+    if config.epochs < 1:
+        raise ValueError("epochs must be >= 1")
     outdir = Path(config.output_dir)
     vocab = _read_vocab(outdir)
     token_docs = corpus_mod.read_tokens(_require(outdir / "tokens.csv", "token table"))
     docs = [corpus_mod.BoolDoc(doc_id, label, corpus_mod.booleanize(tokens, vocab))
             for doc_id, label, tokens in token_docs]
-    model = tsetlin.TMModel.create(config.tm_params(), len(vocab), vocab_hash=vocab.sha256())
+    model = tsetlin.TMModel.create(params, len(vocab), vocab_hash=vocab.sha256())
     model, trace = tsetlin.fit(model, docs, epochs=config.epochs)
     model.save(outdir / "model.tm")
     tsetlin.write_clause_dump(tsetlin.extract_clauses(model, vocab), outdir / "clauses.csv")

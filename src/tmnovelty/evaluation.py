@@ -160,7 +160,7 @@ def fit_logistic(features: np.ndarray, targets: np.ndarray) -> LogisticModel:
     epochs, learning_rate, l2 = 500, 0.5, 1e-4
     features = np.asarray(features, dtype=np.float64)
     targets = np.asarray(targets, dtype=np.float64)
-    if set(np.unique(targets)) - {0.0, 1.0}:
+    if set(targets.tolist()) - {0.0, 1.0}:  # not np.unique, which imports numpy.ma
         raise ValueError("targets must be binary 0/1")
     if targets.min() == targets.max():
         raise ValueError("both labels required")

@@ -36,7 +36,9 @@ into it: ``save`` writes the header into the slot and the image straight to
 disk, and ``load`` reads the file straight into it through ``StoredModel``,
 which the read stages stream instead.  No full include mask is built: every
 reader takes a bank's include actions a row block at a time
-(``include_blocks``), each block small enough to stay in a core's L2 cache.
+(``include_blocks``), each block small enough to stay in a core's L2 cache
+and filled into the pass's one include mask, so a block is valid only until
+the pass's next step.
 A read stage counts both banks at once, one thread per bank
 (``include_counts``), each ``pread``-ing its blocks from the held file at
 their own offsets.
@@ -186,9 +188,15 @@ class ClauseBank:
         return self._state if self._packed is None else np.lib.stride_tricks.as_strided(self._state, writeable=False)
 
     def include_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """The include mask a block of ``_block_rows`` rows at a time: (first row, block)."""
-        for start in range(0, self.clause_count, self._block_rows):
-            yield start, self._state[start : start + self._block_rows] > self.state_count
+        """The include mask a block of ``_block_rows`` rows at a time: (first row, block).
+
+        Each block is filled into the pass's one mask, so it is valid only
+        until the next step; a caller that keeps one copies it.
+        """
+        mask = np.empty((min(self._block_rows, self.clause_count), self.literal_count), dtype=bool)
+        for start in range(0, self.clause_count, len(mask)):
+            block = self._state[start : start + len(mask)]
+            yield start, np.greater(block, self.state_count, out=mask[: len(block)])
 
     def _write_rows(self, rows: np.ndarray, block: np.ndarray) -> None:
         """Store new states for the given rows and repack just those rows."""
@@ -370,12 +378,13 @@ class StoredBank:
                              f"in model file: {self._path}")
 
     def include_blocks(self) -> Iterator[tuple[int, np.ndarray]]:
-        """``ClauseBank.include_blocks`` from the file: each block is ``read`` into this pass's buffer."""
+        """``ClauseBank.include_blocks`` from the file: each block is ``read`` into this pass's one buffer."""
         buffer = np.empty((min(self._block_rows, self.clause_count), self.literal_count), dtype=_STATE_DTYPE)
+        mask = np.empty(buffer.shape, dtype=bool)
         for start in range(0, self.clause_count, len(buffer)):
             block = buffer[: self.clause_count - start]
             self.read(block, start)
-            yield start, block > self.state_count
+            yield start, np.greater(block, self.state_count, out=mask[: len(block)])
 
 
 @dataclass

@@ -457,6 +457,29 @@ class TestExitCodes:
         assert "state_count" in one_line_error(capsys)
         assert not (tmp_path / "out" / "model.tm").exists()
 
+    @pytest.mark.parametrize(
+        "flags,message",
+        [(["--profile", "full", "--epochs", "0"], "epochs must be >= 1"),
+         (["--clauses", "3"], "clause_count must be an even integer >= 2")],
+        ids=["epochs", "clauses"],
+    )
+    @pytest.mark.parametrize("token_table", [True, False], ids=["token-table", "no-token-table"])
+    def test_train_settings_are_refused_before_any_input_is_read(
+        self, tmp_path, corpus_dirs, capsys, monkeypatch, flags, message, token_table
+    ):
+        run = small_run(tmp_path, corpus_dirs)
+        assert main(["ingest", *run["ingest"]]) == EXIT_OK
+        if not token_table:
+            (tmp_path / "out" / "tokens.csv").unlink()
+        capsys.readouterr()
+        reads, creates = [], []
+        monkeypatch.setattr(cli.corpus_mod, "read_tokens", lambda path: reads.append(path))
+        monkeypatch.setattr(tsetlin.TMModel, "create", classmethod(lambda cls, *args, **kwargs: creates.append(args)))
+        assert main(["train", *flags, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        assert one_line_error(capsys) == f"error: {message}\n"
+        assert reads == creates == []
+        assert not (tmp_path / "out" / "model.tm").exists()
+
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_infinite_sensitivity_is_validation_error(self, tmp_path, corpus_dirs, capsys, source):
         run = small_run(tmp_path, corpus_dirs)

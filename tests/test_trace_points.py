@@ -1,4 +1,4 @@
-"""The benchmark's trace points: every name it wraps must still exist and run."""
+"""The benchmark's trace points: every name it wraps must still exist and run; and what `eval` imports."""
 
 import importlib.util
 import subprocess
@@ -49,16 +49,9 @@ sys.exit(main(["context", "--words", "rugby,old,cricket", "--out", out]))
 """
 
 
-# Installs the tracer, then runs the eval stage through the CLI on the
-# case-study model and eight token lists: each ranker reduces every document
-# once, inside its feature matrix.
-TRACED_EVAL = """
-import sys
-out = sys.argv.pop()
-sys.path[:0] = sys.argv[1:]
-from spans import Tracer
-tracer = Tracer()
-tracer.install()
+# Writes the case-study model and eight token lists into ``out`` and runs the
+# eval stage on them through the CLI.
+EVAL_RUN = """
 from helpers import case_study_model, case_study_vocab
 from tmnovelty.cli import main
 from tmnovelty.corpus import Label, write_tokens, write_vocabulary
@@ -68,6 +61,19 @@ docs = [(f"k{i}", Label.KNOWN, ["cricket", "six", "hit"][: 1 + i % 3]) for i in 
 docs += [(f"n{i}", Label.NOVEL, ["rugby", "old", "despite"][: 1 + i % 3]) for i in range(4)]
 write_tokens(docs, out + "/tokens.csv")
 assert main(["eval", "--out", out]) == 0
+"""
+
+
+# Installs the tracer, then runs the eval stage: each ranker reduces every
+# document once, inside its feature matrix.
+TRACED_EVAL = """
+import sys
+out = sys.argv.pop()
+sys.path[:0] = sys.argv[1:]
+from spans import Tracer
+tracer = Tracer()
+tracer.install()
+""" + EVAL_RUN + """
 spans = tracer.spans
 names = {span[0] for span in spans}
 for name in ("evaluation.score_discrimination", "evaluation.fit_logistic", "evaluation.roc_pr"):
@@ -76,6 +82,17 @@ reduced = [span for span in spans if span[0] == "novelty.score_document"]
 assert len(reduced) == 2 * len(docs), len(reduced)
 for span in reduced:
     assert span[3] >= 0 and spans[span[3]][0] == "evaluation.doc_feature_matrix", spans[span[3]]
+"""
+
+
+# Runs the eval stage untraced: nothing it calls imports numpy.ma, which
+# np.unique does (about 1 MiB of the stage's peak).
+UNTRACED_EVAL = """
+import sys
+out = sys.argv.pop()
+sys.path[:0] = sys.argv[1:]
+""" + EVAL_RUN + """
+assert "numpy.ma" not in sys.modules, sorted(name for name in sys.modules if name.startswith("numpy.ma"))
 """
 
 
@@ -104,6 +121,12 @@ def test_traced_eval_stage_reduces_each_document_once_per_ranker(tmp_path):
     result = _run_traced(TRACED_EVAL, tmp_path)
     assert result.returncode == 0, result.stderr
     assert (tmp_path / "doc_scores.csv").is_file()
+
+
+def test_eval_stage_leaves_numpy_ma_unimported(tmp_path):
+    result = _run_traced(UNTRACED_EVAL, tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert (tmp_path / "report.json").is_file()
 
 
 def _load_faults() -> dict:

@@ -767,6 +767,27 @@ class TestStoredModel:
         with pytest.raises(ValueError, match="novel clause states outside"):
             TMModel.load(path)
 
+    def test_a_pass_fills_one_mask_for_all_its_blocks(self, tmp_path, monkeypatch):
+        # Row blocks of 3 over 14 clauses: five blocks, the last of two rows.
+        monkeypatch.setattr(tsetlin, "_BLOCK_BYTES", 3 * 2 * 2 * 10)
+        rng = np.random.default_rng(11)
+        model = TMModel.create(small_params(clause_count=14), 10)
+        for bank in model.banks.values():
+            bank.state[...] = rng.integers(1, 17, bank.state.shape)
+        model.save(tmp_path / "model.tm")
+        with StoredModel.open(tmp_path / "model.tm") as stored:
+            for label in (Label.KNOWN, Label.NOVEL):
+                expected = include_mask(model.banks[label])
+                for bank in (model.banks[label], stored.banks[label]):
+                    blocks = bank.include_blocks()
+                    _, first = next(blocks)
+                    seen = [first.copy()]
+                    for start, block in blocks:
+                        assert np.shares_memory(block, first)
+                        seen.append(block.copy())
+                    assert [len(block) for block in seen] == [3, 3, 3, 3, 2]
+                    assert np.array_equal(np.concatenate(seen), expected)
+
     def test_short_reads_are_refilled(self, tmp_path, monkeypatch):
         # Every positional read returns at most 7 bytes, so each block takes many.
         model = case_study_model()
